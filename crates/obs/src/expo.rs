@@ -266,6 +266,23 @@ pub fn validate(text: &str) -> Result<usize, String> {
     Ok(samples)
 }
 
+/// The value of series `family{labels}` on an exposition page, or
+/// `None` when no such line exists. `labels` must list the pairs in
+/// rendered order; for a summary, `family_count`/`family_sum` name the
+/// count and sum rows and a trailing `("quantile", "0.5")` pair picks a
+/// quantile row.
+pub fn scrape(page: &str, family: &str, labels: &[(&str, &str)]) -> Option<f64> {
+    let owned: Vec<(String, String)> = labels
+        .iter()
+        .map(|(k, v)| (k.to_string(), v.to_string()))
+        .collect();
+    let want = series(family, &owned, None);
+    page.lines().find_map(|line| {
+        let (name, value) = line.rsplit_once(' ')?;
+        (name == want).then(|| value.parse().ok())?
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,14 +293,7 @@ mod tests {
         c.add(7);
         let g = reg.gauge("bst_demo_live", "live things", &[("kind", "conn")]);
         g.set(3);
-        let h = reg.histogram(
-            "bst_demo_lat_us",
-            "latency",
-            &[("op", "sample")],
-            0.0,
-            1000.0,
-            100,
-        );
+        let h = reg.histogram("bst_demo_lat_us", "latency", &[("op", "sample")]);
         for v in [10.0, 20.0, 30.0] {
             h.record(v);
         }
@@ -308,6 +318,27 @@ mod tests {
     }
 
     #[test]
+    fn scrape_reads_back_rendered_values() {
+        let text = render(&demo_registry());
+        let op = [("op", "sample")];
+        assert_eq!(scrape(&text, "bst_demo_ops_total", &[]), Some(7.0));
+        assert_eq!(
+            scrape(&text, "bst_demo_live", &[("kind", "conn")]),
+            Some(3.0)
+        );
+        assert_eq!(scrape(&text, "bst_demo_lat_us_count", &op), Some(3.0));
+        assert_eq!(scrape(&text, "bst_demo_lat_us_sum", &op), Some(60.0));
+        let p50 = scrape(&text, "bst_demo_lat_us", &[op[0], ("quantile", "0.5")]);
+        assert!((p50.expect("p50 row") - 20.0).abs() <= 1.0);
+        assert_eq!(
+            scrape(&text, "bst_demo_live", &[]),
+            None,
+            "labels must match"
+        );
+        assert_eq!(scrape(&text, "bst_demo_missing", &[]), None);
+    }
+
+    #[test]
     fn labeled_variants_share_one_header() {
         let reg = MetricsRegistry::new();
         reg.counter("bst_demo_x_total", "x", &[("op", "a")]).inc();
@@ -328,13 +359,16 @@ mod tests {
         let text = render(&reg);
         assert!(text.contains("path=\"a\\\\b\\\"c\\nd\""));
         assert_eq!(validate(&text), Ok(1));
+        assert_eq!(
+            scrape(&text, "bst_demo_g", &[("path", "a\\b\"c\nd")]),
+            Some(1.0)
+        );
     }
 
     #[test]
     fn nan_quantiles_still_validate() {
         let reg = MetricsRegistry::new();
-        let h = reg.histogram("bst_demo_h", "h", &[], 0.0, 1.0, 2);
-        h.record(9.0); // outlier-only: quantiles are NaN
+        reg.histogram("bst_demo_h", "h", &[]); // empty: quantiles are NaN
         let text = render(&reg);
         assert!(text.contains("NaN"));
         assert!(validate(&text).is_ok());

@@ -33,10 +33,10 @@
 //! format (counters, gauges, and summary-style quantile/`_sum`/`_count`
 //! rows for histograms); [`expo::validate`] is the matching
 //! well-formedness checker the CLI and CI smoke test reuse, so a
-//! malformed scrape fails loudly instead of rotting silently.
+//! malformed scrape fails loudly instead of rotting silently, and
+//! [`expo::scrape`] reads one series' value back off a page.
 //!
-//! "Zero-dependency" here means: nothing beyond the workspace's own
-//! `bst-stats` (histogram snapshots) and the sanctioned vendored
+//! "Zero-dependency" here means: nothing beyond the sanctioned vendored
 //! `parking_lot` locks — no new third-party surface.
 
 #![warn(missing_docs)]
@@ -46,6 +46,8 @@ pub mod metrics;
 pub mod trace;
 pub mod wal;
 
-pub use metrics::{AtomicHistogram, Counter, Gauge, MetricsRegistry, Observation, Sample};
+pub use metrics::{
+    AtomicHistogram, Counter, Gauge, HistogramSnapshot, MetricsRegistry, Observation, Sample,
+};
 pub use trace::{NoopRecorder, Recorder, RingRecorder, SpanEvent, Tracer};
 pub use wal::WalObs;

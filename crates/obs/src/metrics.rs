@@ -16,7 +16,6 @@
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bst_stats::histogram::Histogram;
 use parking_lot::RwLock;
 
 /// A monotonically increasing counter (resettable only explicitly, for
@@ -82,105 +81,159 @@ impl Gauge {
     }
 }
 
-/// The concurrent histogram core: the same equal-width binning as
-/// [`bst_stats::histogram::Histogram`], held in atomics.
-#[derive(Debug)]
-struct HistCore {
-    lo: f64,
-    hi: f64,
-    bins: Vec<AtomicU64>,
-    /// Observations outside `[lo, hi)`.
-    outliers: AtomicU64,
-    /// Sum of all observations (in-range and outliers), fixed-point
-    /// milli-units (`value × 1000` rounded) so it can live in a `u64`
-    /// atomic. Negative observations contribute zero.
-    sum_milli: AtomicU64,
-    /// All observations, in-range and outliers.
-    count: AtomicU64,
+/// Linear sub-buckets per power of two. Above the unit-width range a
+/// bucket is at most `1/SUB` as wide as the values it holds, so its
+/// midpoint is within `1/(2·SUB)` (0.8%) of each of them.
+const SUB_BITS: u32 = 6;
+const SUB: u64 = 1 << SUB_BITS;
+/// Observations are bucketed in whole microseconds below `2^TOP_BITS` µs
+/// (about 71.6 minutes); anything larger clamps into the top bucket.
+const TOP_BITS: u32 = 32;
+const TOP_US: u64 = 1 << TOP_BITS;
+/// `SUB` unit-width buckets for `[0, SUB)` µs, then `SUB` per octave
+/// from `2^SUB_BITS` up to `2^TOP_BITS` µs: 1728 buckets.
+const BUCKETS: usize = ((TOP_BITS - SUB_BITS + 1) as u64 * SUB) as usize;
+
+/// The bucket holding `us` microseconds. NaN and negative values land
+/// in bucket 0 (the float-to-int cast maps them to 0) and values past
+/// the top clamp into the last bucket, so every observation counts.
+fn bucket_of(us: f64) -> usize {
+    let u = (us as u64).min(TOP_US - 1);
+    if u < SUB {
+        return u as usize;
+    }
+    let shift = (63 - u.leading_zeros()) - SUB_BITS;
+    ((shift as u64 + 1) * SUB + (u >> shift) - SUB) as usize
 }
 
-/// A thread-safe histogram recording with two relaxed atomic ops and
-/// snapshotting into a [`bst_stats::histogram::Histogram`] for
-/// quantiles. Bin `i` means exactly what the sequential histogram's bin
-/// `i` means, so a snapshot is bit-identical to having recorded the
-/// same observations sequentially.
+/// The value reported for bucket `i`: the midpoint of the microsecond
+/// interval it covers.
+fn bucket_mid(i: usize) -> f64 {
+    let i = i as u64;
+    if i < SUB {
+        return i as f64 + 0.5;
+    }
+    let shift = i / SUB - 1;
+    let lo = (SUB + i % SUB) << shift;
+    lo as f64 + (1u64 << shift) as f64 / 2.0
+}
+
+#[derive(Debug)]
+struct HistCore {
+    buckets: Vec<AtomicU64>,
+    /// Sum of all observations, each clamped into `[0, 2^TOP_BITS]` µs,
+    /// in fixed-point milli-units so it fits a `u64` atomic.
+    sum_milli: AtomicU64,
+}
+
+/// A thread-safe microsecond latency histogram with HDR-style
+/// log-linear buckets: unit-width below 64 µs, then 64 buckets per
+/// power of two up to 2^32 µs (over an hour). Recording is two relaxed
+/// atomic adds. A reported quantile is within 1 µs or 1% (relative) of
+/// the exact sample quantile, whichever is larger.
 #[derive(Clone, Debug)]
 pub struct AtomicHistogram {
     core: Arc<HistCore>,
 }
 
 impl AtomicHistogram {
-    /// A histogram with `bins` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `bins == 0` or `lo >= hi` (same contract as
-    /// [`bst_stats::histogram::Histogram::new`]).
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "need at least one bin");
-        assert!(lo < hi, "empty range [{lo}, {hi})");
-        let mut v = Vec::with_capacity(bins);
-        v.resize_with(bins, AtomicU64::default);
+    /// An empty histogram.
+    pub fn new() -> Self {
+        let mut buckets = Vec::with_capacity(BUCKETS);
+        buckets.resize_with(BUCKETS, AtomicU64::default);
         AtomicHistogram {
             core: Arc::new(HistCore {
-                lo,
-                hi,
-                bins: v,
-                outliers: AtomicU64::new(0),
+                buckets,
                 sum_milli: AtomicU64::new(0),
-                count: AtomicU64::new(0),
             }),
         }
     }
 
-    /// Records one observation.
-    pub fn record(&self, x: f64) {
+    /// Records one observation in microseconds.
+    pub fn record(&self, us: f64) {
         let core = &*self.core;
-        core.count.fetch_add(1, Ordering::Relaxed);
-        if x > 0.0 && x.is_finite() {
+        core.buckets[bucket_of(us)].fetch_add(1, Ordering::Relaxed);
+        if us > 0.0 {
+            let clamped = us.min(TOP_US as f64);
             core.sum_milli
-                .fetch_add((x * 1000.0).round() as u64, Ordering::Relaxed);
+                .fetch_add((clamped * 1000.0).round() as u64, Ordering::Relaxed);
         }
-        if x < core.lo || x >= core.hi || x.is_nan() {
-            core.outliers.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        // Mirrors Histogram::record's binning exactly.
-        let frac = (x - core.lo) / (core.hi - core.lo);
-        let idx = ((frac * core.bins.len() as f64) as usize).min(core.bins.len() - 1);
-        core.bins[idx].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Materialises the current counts as a queryable sequential
-    /// histogram (`O(bins)`).
-    pub fn snapshot(&self) -> Histogram {
-        let core = &*self.core;
-        let counts: Vec<u64> = core
-            .bins
+    /// Reads the current counts into a queryable snapshot (`O(buckets)`).
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        let counts: Vec<u64> = self
+            .core
+            .buckets
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
             .collect();
-        Histogram::from_counts(
-            core.lo,
-            core.hi,
+        HistogramSnapshot {
+            count: counts.iter().sum(),
             counts,
-            core.outliers.load(Ordering::Relaxed),
-        )
+            sum: self.core.sum_milli.load(Ordering::Relaxed) as f64 / 1000.0,
+        }
     }
+}
 
-    /// Sum of every observation (in-range and outliers; negative
-    /// observations contribute zero).
-    pub fn sum(&self) -> f64 {
-        self.core.sum_milli.load(Ordering::Relaxed) as f64 / 1000.0
+impl Default for AtomicHistogram {
+    fn default() -> Self {
+        Self::new()
     }
+}
 
-    /// Number of observations, in-range and outliers.
+/// A point-in-time copy of an [`AtomicHistogram`].
+#[derive(Clone, Debug)]
+pub struct HistogramSnapshot {
+    counts: Vec<u64>,
+    count: u64,
+    sum: f64,
+}
+
+impl HistogramSnapshot {
+    /// Number of observations.
     pub fn count(&self) -> u64 {
-        self.core.count.load(Ordering::Relaxed)
+        self.count
     }
 
-    /// The `[lo, hi)` range the bins cover.
-    pub fn range(&self) -> (f64, f64) {
-        (self.core.lo, self.core.hi)
+    /// Sum of all observations, each clamped into the bucketed range
+    /// (negative and NaN observations contribute zero).
+    pub fn sum(&self) -> f64 {
+        self.sum
+    }
+
+    /// The `q`-quantile: the midpoint of the bucket holding the
+    /// `⌈q·n⌉`-th smallest observation. `None` when nothing was recorded.
+    ///
+    /// # Panics
+    /// Panics unless `0 ≤ q ≤ 1`.
+    pub fn quantile(&self, q: f64) -> Option<f64> {
+        assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1]");
+        if self.count == 0 {
+            return None;
+        }
+        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let mut cum = 0u64;
+        let i = self.counts.iter().position(|&c| {
+            cum += c;
+            cum >= rank
+        })?;
+        Some(bucket_mid(i))
+    }
+
+    /// The median ([`Self::quantile`] at 0.5).
+    pub fn p50(&self) -> Option<f64> {
+        self.quantile(0.5)
+    }
+
+    /// The 95th percentile.
+    pub fn p95(&self) -> Option<f64> {
+        self.quantile(0.95)
+    }
+
+    /// The 99th percentile.
+    pub fn p99(&self) -> Option<f64> {
+        self.quantile(0.99)
     }
 }
 
@@ -193,7 +246,7 @@ pub enum Observation {
     Gauge(f64),
     /// A latency/size distribution, pre-digested into summary rows.
     Summary {
-        /// `(q, value)` pairs; `NaN` value when no in-range observation.
+        /// `(q, value)` pairs; `NaN` value when nothing was recorded.
         quantiles: Vec<(f64, f64)>,
         /// Sum of all observations.
         sum: f64,
@@ -321,21 +374,9 @@ impl MetricsRegistry {
         self.push(family, help, labels, Source::Gauge(handle));
     }
 
-    /// Creates, registers, and returns a fresh atomic histogram with
-    /// `bins` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `bins == 0` or `lo >= hi`.
-    pub fn histogram(
-        &self,
-        family: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        lo: f64,
-        hi: f64,
-        bins: usize,
-    ) -> AtomicHistogram {
-        let handle = AtomicHistogram::new(lo, hi, bins);
+    /// Creates, registers, and returns a fresh microsecond histogram.
+    pub fn histogram(&self, family: &str, help: &str, labels: &[(&str, &str)]) -> AtomicHistogram {
+        let handle = AtomicHistogram::new();
         self.register_histogram(family, help, labels, handle.clone());
         handle
     }
@@ -396,8 +437,8 @@ impl MetricsRegistry {
                                 .iter()
                                 .map(|&q| (q, snap.quantile(q).unwrap_or(f64::NAN)))
                                 .collect(),
-                            sum: h.sum(),
-                            count: h.count(),
+                            sum: snap.sum(),
+                            count: snap.count(),
                         }
                     }
                     Source::CounterFn(f) => Observation::Counter(f()),
@@ -421,6 +462,7 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn counter_and_gauge_roundtrip() {
@@ -442,27 +484,84 @@ mod tests {
         assert_eq!(g.clone().get(), 6);
     }
 
-    #[test]
-    fn atomic_histogram_snapshot_matches_sequential() {
-        let a = AtomicHistogram::new(0.0, 10.0, 5);
-        let mut s = bst_stats::histogram::Histogram::new(0.0, 10.0, 5);
-        for v in [0.0, 1.9, 2.0, 9.99, -1.0, 12.0, 5.5, 5.5] {
-            a.record(v);
-            s.record(v);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn quantiles_track_exact_sample_quantiles(
+            exps in prop::collection::vec(0.0f64..1.0, 1..2_000),
+        ) {
+            // Log-uniform over 1 µs .. 1 h.
+            let values: Vec<f64> = exps.iter().map(|e| (e * 3.6e9f64.ln()).exp()).collect();
+            let h = AtomicHistogram::new();
+            for &v in &values {
+                h.record(v);
+            }
+            let mut sorted = values.clone();
+            sorted.sort_by(f64::total_cmp);
+            let snap = h.snapshot();
+            prop_assert_eq!(snap.count(), values.len() as u64);
+            for q in [0.0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0] {
+                let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+                let exact = sorted[rank - 1];
+                let got = snap.quantile(q).expect("non-empty");
+                prop_assert!(
+                    (got - exact).abs() <= (0.01 * exact).max(1.0),
+                    "q={}: histogram {} vs exact {}", q, got, exact
+                );
+            }
         }
-        let snap = a.snapshot();
-        assert_eq!(snap.counts(), s.counts());
-        assert_eq!(snap.outliers(), s.outliers());
-        assert_eq!(snap.p50(), s.p50());
-        assert_eq!(a.count(), 8);
-        // 0 + 1.9 + 2 + 9.99 + 12 + 5.5 + 5.5 (negatives contribute 0)
-        assert!((a.sum() - 36.89).abs() < 1e-9, "sum = {}", a.sum());
-        assert_eq!(a.range(), (0.0, 10.0));
+    }
+
+    #[test]
+    fn slow_tail_reaches_the_percentiles() {
+        let h = AtomicHistogram::new();
+        for _ in 0..1_000 {
+            h.record(50.0);
+        }
+        for _ in 0..20 {
+            h.record(2_500_000.0);
+        }
+        let snap = h.snapshot();
+        assert_eq!(snap.count(), 1_020);
+        assert!((snap.p50().unwrap() - 50.0).abs() <= 1.0);
+        assert!(snap.p99().unwrap() >= 2_400_000.0, "p99 {:?}", snap.p99());
+    }
+
+    #[test]
+    fn nan_negative_and_over_range_values_are_counted() {
+        let h = AtomicHistogram::new();
+        for v in [
+            f64::NAN,
+            -5.0,
+            f64::NEG_INFINITY,
+            1e300,
+            f64::INFINITY,
+            10.0,
+        ] {
+            h.record(v);
+        }
+        let snap = h.snapshot();
+        assert_eq!(snap.count(), 6);
+        // The three low values sit in the lowest bucket, the two huge
+        // ones in the top bucket.
+        assert!(snap.quantile(0.5).unwrap() < 1.0);
+        assert!(snap.quantile(1.0).unwrap() >= 4.0e9);
+        assert!(snap.sum().is_finite());
+        assert_eq!(AtomicHistogram::new().snapshot().p50(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0, 1]")]
+    fn quantile_rejects_bad_q() {
+        let h = AtomicHistogram::new();
+        h.record(5.0);
+        let _ = h.snapshot().quantile(1.5);
     }
 
     #[test]
     fn atomic_histogram_is_shared_across_clones_and_threads() {
-        let h = AtomicHistogram::new(0.0, 100.0, 10);
+        let h = AtomicHistogram::new();
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let h = h.clone();
@@ -473,8 +572,10 @@ mod tests {
                 });
             }
         });
-        assert_eq!(h.count(), 4000);
-        assert_eq!(h.snapshot().total(), 4000);
+        let snap = h.snapshot();
+        assert_eq!(snap.count(), 4000);
+        // 4 threads × 10 rounds × (0 + 1 + … + 99)
+        assert_eq!(snap.sum(), 198_000.0);
     }
 
     #[test]
@@ -482,11 +583,11 @@ mod tests {
         let reg = MetricsRegistry::new();
         let c = reg.counter("bst_test_ops_total", "ops", &[]);
         let g = reg.gauge("bst_test_live", "live", &[("kind", "a")]);
-        let h = reg.histogram("bst_test_lat_us", "latency", &[], 0.0, 100.0, 10);
+        let h = reg.histogram("bst_test_lat_us", "latency", &[]);
         c.add(3);
         g.set(-2);
         h.record(50.0);
-        h.record(250.0); // outlier: counted, not binned
+        h.record(250.0);
         let samples = reg.collect();
         assert_eq!(samples.len(), 3);
         assert!(matches!(samples[0].value, Observation::Counter(3)));
@@ -537,15 +638,14 @@ mod tests {
     }
 
     #[test]
-    fn summary_quantiles_are_nan_when_outlier_only() {
+    fn summary_quantiles_are_nan_when_empty() {
         let reg = MetricsRegistry::new();
-        let h = reg.histogram("bst_test_h", "h", &[], 0.0, 1.0, 2);
-        h.record(5.0);
+        reg.histogram("bst_test_h", "h", &[]);
         match &reg.collect()[0].value {
             Observation::Summary {
                 quantiles, count, ..
             } => {
-                assert_eq!(*count, 1);
+                assert_eq!(*count, 0);
                 assert!(quantiles.iter().all(|(_, v)| v.is_nan()));
             }
             other => panic!("expected summary, got {other:?}"),

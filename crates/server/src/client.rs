@@ -5,9 +5,7 @@ use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 
 use crate::frame::{read_frame, write_frame, CLIENT_MAX_FRAME};
-use crate::protocol::{
-    decode_response, encode_request, Request, Response, StatsReply, Target, WireError,
-};
+use crate::protocol::{decode_response, encode_request, Request, Response, Target, WireError};
 
 /// Everything a client call can fail with.
 #[derive(Debug)]
@@ -227,14 +225,6 @@ impl Client {
         match self.request(&Request::Load { bytes })? {
             Response::Ok => Ok(()),
             _ => Err(ClientError::UnexpectedResponse("Ok")),
-        }
-    }
-
-    /// Fetches the live stats surface.
-    pub fn stats(&mut self) -> Result<StatsReply, ClientError> {
-        match self.request(&Request::Stats)? {
-            Response::Stats(reply) => Ok(reply),
-            _ => Err(ClientError::UnexpectedResponse("Stats")),
         }
     }
 

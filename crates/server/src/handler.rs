@@ -15,7 +15,7 @@ use bst_core::error::BstError;
 use bst_core::store::FilterId;
 use bst_shard::{DurableError, ShardedBstSystem};
 
-use crate::protocol::{Request, Response, StatsReply, Target, WireError};
+use crate::protocol::{Request, Response, Target, WireError};
 use crate::server::ServerState;
 use crate::session::Session;
 
@@ -227,30 +227,6 @@ pub fn handle(state: &ServerState, session: &mut Session, req: Request) -> Outco
                 }
                 Err(e) => Outcome::reply(Err(WireError::from(e))),
             }
-        }
-        Request::Stats => {
-            let (ops, total) = state.stats.rows();
-            let cache = sys.weight_cache_stats();
-            Outcome::reply(Ok(Response::Stats(StatsReply {
-                namespace: sys.namespace(),
-                shards: sys.shard_count() as u32,
-                sets: sys.len() as u64,
-                occupied: sys.occupied_count(),
-                epoch: engine.epoch,
-                active_connections: state.active_connections(),
-                sessions_served: state.sessions_served(),
-                sessions_refused: state.sessions_refused(),
-                frames_served: state.frames_served(),
-                weight_cache_hits: cache.hits,
-                weight_cache_misses: cache.misses,
-                weight_cache_repairs: cache.repairs,
-                engine_intersections: state.engine_ops.intersections.get(),
-                engine_memberships: state.engine_ops.memberships.get(),
-                engine_nodes_visited: state.engine_ops.nodes_visited.get(),
-                engine_backtracks: state.engine_ops.backtracks.get(),
-                ops,
-                total,
-            })))
         }
         Request::Metrics => {
             // Release the engine read lock first: scrape-time callbacks

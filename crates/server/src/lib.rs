@@ -8,10 +8,12 @@
 //! (CREATE / INSERT_KEYS / REMOVE_KEYS / DROP_SET), occupancy churn
 //! (OCC_INSERT / OCC_REMOVE), the query surface (SAMPLE, SAMPLE_MANY,
 //! RECONSTRUCT, RECONSTRUCT_RANGE, BATCH — stored ids and ad-hoc
-//! filters both), whole-engine snapshots (SAVE / LOAD), a live STATS
-//! surface (engine shape, weight-cache effectiveness, cumulative
-//! engine OpStats, per-op latency percentiles), and a METRICS scrape
-//! (the full [`bst_obs::MetricsRegistry`] as a Prometheus text page).
+//! filters both), whole-engine snapshots (SAVE / LOAD), and a METRICS
+//! scrape: the full [`bst_obs::MetricsRegistry`] as a Prometheus text
+//! page, the one stats surface (engine shape, weight-cache
+//! effectiveness, cumulative engine OpStats, per-op latency
+//! percentiles, serving counters). [`bst_obs::expo::scrape`] reads a
+//! single value back off the page.
 //!
 //! ## Layering
 //!
@@ -29,9 +31,8 @@
 //!   `FrameTooLarge`), and clean shutdown.
 //! * [`client`] — a small blocking client used by the CLI, the
 //!   `tcp_service` example, and the e2e tests.
-//! * [`stats`] — per-op latency histograms
-//!   ([`bst_obs::AtomicHistogram`]) behind the STATS opcode; the same
-//!   cells feed the METRICS page's `bst_server_request_latency_us`.
+//! * [`stats`] — the operation classes that per-op latency is
+//!   accounted under (`bst_server_request_latency_us{op=…}`).
 //!
 //! ## Observability
 //!
@@ -76,5 +77,5 @@ pub mod session;
 pub mod stats;
 
 pub use client::{Client, ClientError};
-pub use protocol::{Request, Response, StatsReply, Target, WireError};
+pub use protocol::{Request, Response, Target, WireError};
 pub use server::{serve, ServerConfig, ServerHandle};

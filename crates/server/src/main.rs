@@ -1,6 +1,6 @@
 #![forbid(unsafe_code)]
 //! The `bst-server` binary: serve a sharded engine over TCP, or poke a
-//! running server (`ping` / `stats` / `shutdown`) from the same binary.
+//! running server (`ping` / `metrics` / `shutdown`) from the same binary.
 //!
 //! ```text
 //! bst-server serve [--addr 127.0.0.1:7878] [--namespace 65536]
@@ -10,7 +10,6 @@
 //! bst-server ping     [--addr 127.0.0.1:7878]
 //! bst-server loadgen  [--addr 127.0.0.1:7878] [--sets 32] [--keys 64]
 //!                     [--seed 42]
-//! bst-server stats    [--addr 127.0.0.1:7878]
 //! bst-server metrics  [--addr 127.0.0.1:7878]
 //! bst-server shutdown [--addr 127.0.0.1:7878]
 //! ```
@@ -39,20 +38,18 @@ use std::process::ExitCode;
 use bst_core::wal::FsyncPolicy;
 use bst_server::client::Client;
 use bst_server::server::{serve, serve_durable, ServerConfig};
-use bst_server::stats::OpClass;
 use bst_shard::{DurableBstSystem, DurableConfig, ShardedBstSystem};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
-        eprintln!("usage: bst-server <serve|ping|stats|metrics|shutdown> [flags]");
+        eprintln!("usage: bst-server <serve|ping|loadgen|metrics|shutdown> [flags]");
         return ExitCode::FAILURE;
     };
     let result = match cmd.as_str() {
         "serve" => cmd_serve(&args[1..]),
         "ping" => cmd_ping(&args[1..]),
         "loadgen" => cmd_loadgen(&args[1..]),
-        "stats" => cmd_stats(&args[1..]),
         "metrics" => cmd_metrics(&args[1..]),
         "shutdown" => cmd_shutdown(&args[1..]),
         other => Err(format!("unknown subcommand `{other}`")),
@@ -205,7 +202,9 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
     let keys_per_set: u64 = parse(args, "--keys", 64)?;
     let seed: u64 = parse(args, "--seed", 42)?;
     let mut client = Client::connect(&addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let namespace = client.stats().map_err(|e| e.to_string())?.namespace;
+    let page = client.metrics().map_err(|e| e.to_string())?;
+    let namespace = bst_obs::expo::scrape(&page, "bst_engine_namespace", &[])
+        .ok_or("metrics page lacks bst_engine_namespace")? as u64;
     if namespace == 0 {
         return Err("server namespace is empty".into());
     }
@@ -230,51 +229,6 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
         }
     }
     println!("loadgen: {sets} sets created, {mutations} follow-up mutations acked");
-    Ok(())
-}
-
-fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let stats = connect(args)?.stats().map_err(|e| e.to_string())?;
-    println!(
-        "engine: namespace {} | {} shards | {} sets | {} occupied | epoch {}",
-        stats.namespace, stats.shards, stats.sets, stats.occupied, stats.epoch
-    );
-    println!(
-        "serving: {} active / {} served / {} refused connections, {} frames",
-        stats.active_connections,
-        stats.sessions_served,
-        stats.sessions_refused,
-        stats.frames_served
-    );
-    println!(
-        "weight cache: {} hits / {} misses / {} repairs",
-        stats.weight_cache_hits, stats.weight_cache_misses, stats.weight_cache_repairs
-    );
-    println!(
-        "engine ops: {} intersections / {} memberships / {} nodes visited / {} backtracks",
-        stats.engine_intersections,
-        stats.engine_memberships,
-        stats.engine_nodes_visited,
-        stats.engine_backtracks
-    );
-    if stats.ops.is_empty() {
-        println!("latency: no requests recorded yet");
-    } else {
-        println!("latency (µs):     count      p50      p95      p99");
-        for row in &stats.ops {
-            let name = OpClass::from_tag(row.op).map_or("?", OpClass::name);
-            println!(
-                "  {name:<12} {:>8} {:>8.1} {:>8.1} {:>8.1}",
-                row.count, row.p50_us, row.p95_us, row.p99_us
-            );
-        }
-        if let Some(t) = &stats.total {
-            println!(
-                "  {:<12} {:>8} {:>8.1} {:>8.1} {:>8.1}",
-                "total", t.count, t.p50_us, t.p95_us, t.p99_us
-            );
-        }
-    }
     Ok(())
 }
 

@@ -27,7 +27,7 @@ use bytes::{Buf, BufMut, BytesMut};
 use bst_core::error::BstError;
 
 /// Protocol version carried in every request and response header.
-pub const PROTO_VERSION: u8 = 1;
+pub const PROTO_VERSION: u8 = 2;
 
 /// Response status byte: the body is a [`Response`].
 pub const STATUS_OK: u8 = 0;
@@ -51,7 +51,6 @@ const OP_RECONSTRUCT_RANGE: u8 = 13;
 const OP_BATCH: u8 = 14;
 const OP_SAVE: u8 = 15;
 const OP_LOAD: u8 = 16;
-const OP_STATS: u8 = 17;
 const OP_SHUTDOWN: u8 = 18;
 const OP_METRICS: u8 = 19;
 
@@ -165,8 +164,6 @@ pub enum Request {
         /// `ShardedBstSystem::to_bytes` payload.
         bytes: Vec<u8>,
     },
-    /// Server statistics; answers [`Response::Stats`].
-    Stats,
     /// Stop the server after replying (the accept loop drains and every
     /// worker exits); the in-process `ServerHandle::join` then returns.
     Shutdown,
@@ -222,77 +219,12 @@ pub enum Response {
         /// `ShardedBstSystem::to_bytes` payload (byte-deterministic).
         bytes: Vec<u8>,
     },
-    /// Server statistics.
-    Stats(StatsReply),
     /// The metrics exposition page.
     Metrics {
         /// Prometheus text format, one series per line plus
         /// `# HELP` / `# TYPE` comments.
         text: String,
     },
-}
-
-/// Latency percentiles for one operation class, from the server's
-/// `bst_stats::histogram::Histogram` registry (microseconds).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct OpLatencyRow {
-    /// Operation-class tag (see `crate::stats::OpClass`).
-    pub op: u8,
-    /// Requests recorded (in-range observations plus outliers).
-    pub count: u64,
-    /// Median latency in microseconds.
-    pub p50_us: f64,
-    /// 95th-percentile latency in microseconds.
-    pub p95_us: f64,
-    /// 99th-percentile latency in microseconds.
-    pub p99_us: f64,
-}
-
-/// The body of [`Response::Stats`]: engine shape, serving counters, the
-/// persistent weight cache's effectiveness, and per-op latency
-/// percentiles.
-#[derive(Clone, Debug, PartialEq)]
-pub struct StatsReply {
-    /// Namespace size `M`.
-    pub namespace: u64,
-    /// Shard count `S`.
-    pub shards: u32,
-    /// Registered stored sets.
-    pub sets: u64,
-    /// Occupied namespace ids.
-    pub occupied: u64,
-    /// Engine epoch: bumps on every wire `LOAD` (sessions drop their
-    /// cached handles when it moves).
-    pub epoch: u64,
-    /// Connections currently being served.
-    pub active_connections: u32,
-    /// Connections accepted and served since startup.
-    pub sessions_served: u64,
-    /// Connections refused by the max-connections backpressure policy.
-    pub sessions_refused: u64,
-    /// Frames processed since startup.
-    pub frames_served: u64,
-    /// Weight-cache hits (see `bst_shard::WeightCacheStats`).
-    pub weight_cache_hits: u64,
-    /// Weight-cache misses.
-    pub weight_cache_misses: u64,
-    /// Weight-cache journal repairs.
-    pub weight_cache_repairs: u64,
-    /// Cumulative Bloom probe intersections drained from every served
-    /// query (paper §7.1 units; survives engine swaps).
-    pub engine_intersections: u64,
-    /// Cumulative membership tests.
-    pub engine_memberships: u64,
-    /// Cumulative tree nodes visited.
-    pub engine_nodes_visited: u64,
-    /// Cumulative sampling descent backtracks.
-    pub engine_backtracks: u64,
-    /// Per-op latency percentiles, ascending by op tag; only classes
-    /// with at least one recorded request appear.
-    pub ops: Vec<OpLatencyRow>,
-    /// All classes merged into one histogram (`Histogram::merge`);
-    /// `None` until any request has been recorded.
-    pub total: Option<OpLatencyRow>,
 }
 
 /// Every way a request can fail, shipped back as a typed error frame.
@@ -736,7 +668,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             buf.put_u8(OP_LOAD);
             put_bytes(&mut buf, bytes);
         }
-        Request::Stats => buf.put_u8(OP_STATS),
         Request::Shutdown => buf.put_u8(OP_SHUTDOWN),
         Request::Metrics => buf.put_u8(OP_METRICS),
     }
@@ -825,7 +756,6 @@ pub fn decode_request(mut input: &[u8]) -> Result<Request, WireError> {
         OP_LOAD => Request::Load {
             bytes: get_bytes(&mut input)?,
         },
-        OP_STATS => Request::Stats,
         OP_SHUTDOWN => Request::Shutdown,
         OP_METRICS => Request::Metrics,
         got => return Err(WireError::UnknownOpcode { got }),
@@ -839,27 +769,6 @@ pub fn decode_request(mut input: &[u8]) -> Result<Request, WireError> {
 // ---------------------------------------------------------------------
 // Response codec.
 // ---------------------------------------------------------------------
-
-fn put_latency_row(buf: &mut BytesMut, row: &OpLatencyRow) {
-    buf.put_u8(row.op);
-    buf.put_u64_le(row.count);
-    buf.put_f64_le(row.p50_us);
-    buf.put_f64_le(row.p95_us);
-    buf.put_f64_le(row.p99_us);
-}
-
-fn get_latency_row(input: &mut &[u8]) -> Result<OpLatencyRow, WireError> {
-    if input.remaining() < 1 + 8 + 3 * 8 {
-        return Err(malformed("truncated latency row"));
-    }
-    Ok(OpLatencyRow {
-        op: input.get_u8(),
-        count: input.get_u64_le(),
-        p50_us: input.get_f64_le(),
-        p95_us: input.get_f64_le(),
-        p99_us: input.get_f64_le(),
-    })
-}
 
 /// Encodes a success response into a complete frame payload.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
@@ -912,36 +821,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         Response::Snapshot { bytes } => {
             buf.put_u8(9);
             put_bytes(&mut buf, bytes);
-        }
-        Response::Stats(stats) => {
-            buf.put_u8(10);
-            buf.put_u64_le(stats.namespace);
-            buf.put_u32_le(stats.shards);
-            buf.put_u64_le(stats.sets);
-            buf.put_u64_le(stats.occupied);
-            buf.put_u64_le(stats.epoch);
-            buf.put_u32_le(stats.active_connections);
-            buf.put_u64_le(stats.sessions_served);
-            buf.put_u64_le(stats.sessions_refused);
-            buf.put_u64_le(stats.frames_served);
-            buf.put_u64_le(stats.weight_cache_hits);
-            buf.put_u64_le(stats.weight_cache_misses);
-            buf.put_u64_le(stats.weight_cache_repairs);
-            buf.put_u64_le(stats.engine_intersections);
-            buf.put_u64_le(stats.engine_memberships);
-            buf.put_u64_le(stats.engine_nodes_visited);
-            buf.put_u64_le(stats.engine_backtracks);
-            buf.put_u32_le(stats.ops.len() as u32);
-            for row in &stats.ops {
-                put_latency_row(&mut buf, row);
-            }
-            match &stats.total {
-                Some(row) => {
-                    buf.put_u8(1);
-                    put_latency_row(&mut buf, row);
-                }
-                None => buf.put_u8(0),
-            }
         }
         Response::Metrics { text } => {
             buf.put_u8(11);
@@ -1028,60 +907,6 @@ pub fn decode_response(mut input: &[u8]) -> Result<Result<Response, WireError>, 
         9 => Response::Snapshot {
             bytes: get_bytes(&mut input)?,
         },
-        10 => {
-            if input.remaining() < 8 + 4 + 8 * 3 + 4 + 8 * 5 + 8 * 4 + 4 {
-                return Err(malformed("truncated stats body"));
-            }
-            let namespace = input.get_u64_le();
-            let shards = input.get_u32_le();
-            let sets = input.get_u64_le();
-            let occupied = input.get_u64_le();
-            let epoch = input.get_u64_le();
-            let active_connections = input.get_u32_le();
-            let sessions_served = input.get_u64_le();
-            let sessions_refused = input.get_u64_le();
-            let frames_served = input.get_u64_le();
-            let weight_cache_hits = input.get_u64_le();
-            let weight_cache_misses = input.get_u64_le();
-            let weight_cache_repairs = input.get_u64_le();
-            let engine_intersections = input.get_u64_le();
-            let engine_memberships = input.get_u64_le();
-            let engine_nodes_visited = input.get_u64_le();
-            let engine_backtracks = input.get_u64_le();
-            let rows = input.get_u32_le() as usize;
-            let mut ops = Vec::with_capacity(rows.min(input.remaining() / 33 + 1));
-            for _ in 0..rows {
-                ops.push(get_latency_row(&mut input)?);
-            }
-            if input.remaining() < 1 {
-                return Err(malformed("truncated stats total flag"));
-            }
-            let total = match input.get_u8() {
-                0 => None,
-                1 => Some(get_latency_row(&mut input)?),
-                _ => return Err(malformed("unknown stats total flag")),
-            };
-            Response::Stats(StatsReply {
-                namespace,
-                shards,
-                sets,
-                occupied,
-                epoch,
-                active_connections,
-                sessions_served,
-                sessions_refused,
-                frames_served,
-                weight_cache_hits,
-                weight_cache_misses,
-                weight_cache_repairs,
-                engine_intersections,
-                engine_memberships,
-                engine_nodes_visited,
-                engine_backtracks,
-                ops,
-                total,
-            })
-        }
         11 => Response::Metrics {
             text: get_string(&mut input)?,
         },
@@ -1161,7 +986,6 @@ mod tests {
             Request::Load {
                 bytes: vec![0xAB; 32],
             },
-            Request::Stats,
             Request::Shutdown,
             Request::Metrics,
         ] {
@@ -1193,67 +1017,6 @@ mod tests {
             Response::Snapshot {
                 bytes: vec![0xCD; 64],
             },
-            Response::Stats(StatsReply {
-                namespace: 1 << 20,
-                shards: 8,
-                sets: 3,
-                occupied: 12_345,
-                epoch: 2,
-                active_connections: 4,
-                sessions_served: 100,
-                sessions_refused: 2,
-                frames_served: 5_000,
-                weight_cache_hits: 10,
-                weight_cache_misses: 20,
-                weight_cache_repairs: 1,
-                engine_intersections: 4_096,
-                engine_memberships: 900,
-                engine_nodes_visited: 5_000,
-                engine_backtracks: 7,
-                ops: vec![
-                    OpLatencyRow {
-                        op: 3,
-                        count: 1000,
-                        p50_us: 12.5,
-                        p95_us: 80.0,
-                        p99_us: 140.25,
-                    },
-                    OpLatencyRow {
-                        op: 5,
-                        count: 3,
-                        p50_us: 900.0,
-                        p95_us: 1200.0,
-                        p99_us: 1200.0,
-                    },
-                ],
-                total: Some(OpLatencyRow {
-                    op: 255,
-                    count: 1003,
-                    p50_us: 13.0,
-                    p95_us: 90.0,
-                    p99_us: 1100.0,
-                }),
-            }),
-            Response::Stats(StatsReply {
-                namespace: 16,
-                shards: 1,
-                sets: 0,
-                occupied: 0,
-                epoch: 0,
-                active_connections: 1,
-                sessions_served: 1,
-                sessions_refused: 0,
-                frames_served: 1,
-                weight_cache_hits: 0,
-                weight_cache_misses: 0,
-                weight_cache_repairs: 0,
-                engine_intersections: 0,
-                engine_memberships: 0,
-                engine_nodes_visited: 0,
-                engine_backtracks: 0,
-                ops: vec![],
-                total: None,
-            }),
             Response::Metrics {
                 text: "# TYPE bst_x counter\nbst_x 3\n".into(),
             },
@@ -1325,20 +1088,24 @@ mod tests {
 
     #[test]
     fn decode_rejects_malformed_frames() {
-        // Wrong version.
-        let mut bad = encode_request(&Request::Ping);
-        bad[0] = 99;
-        assert_eq!(
-            decode_request(&bad).unwrap_err(),
-            WireError::BadVersion { got: 99 }
-        );
-        // Unknown opcode.
-        let mut bad = encode_request(&Request::Ping);
-        bad[1] = 250;
-        assert_eq!(
-            decode_request(&bad).unwrap_err(),
-            WireError::UnknownOpcode { got: 250 }
-        );
+        // Wrong version; 1 is the version that still carried STATS.
+        for got in [99, 1] {
+            let mut bad = encode_request(&Request::Ping);
+            bad[0] = got;
+            assert_eq!(
+                decode_request(&bad).unwrap_err(),
+                WireError::BadVersion { got }
+            );
+        }
+        // Unknown opcode; 17 was STATS before version 2 retired it.
+        for got in [250, 17] {
+            let mut bad = encode_request(&Request::Ping);
+            bad[1] = got;
+            assert_eq!(
+                decode_request(&bad).unwrap_err(),
+                WireError::UnknownOpcode { got }
+            );
+        }
         // Truncated body.
         let good = encode_request(&Request::Create {
             keys: vec![1, 2, 3],

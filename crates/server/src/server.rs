@@ -28,7 +28,7 @@
 
 use std::io::{self, ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -36,14 +36,16 @@ use std::time::{Duration, Instant};
 use parking_lot::RwLock;
 
 use bst_core::OpStats;
-use bst_obs::{Counter, Gauge, MetricsRegistry, Recorder, RingRecorder, SpanEvent};
+use bst_obs::{
+    AtomicHistogram, Counter, Gauge, MetricsRegistry, Recorder, RingRecorder, SpanEvent,
+};
 use bst_shard::{BatchObs, DurableBstSystem, ShardedBstSystem};
 
 use crate::frame::write_frame;
 use crate::handler;
 use crate::protocol::{self, WireError};
 use crate::session::Session;
-use crate::stats::{OpClass, StatsRegistry};
+use crate::stats::OpClass;
 
 /// How often blocked loops re-check the shutdown flag.
 const POLL: Duration = Duration::from_millis(20);
@@ -118,17 +120,18 @@ pub struct ServerState {
     /// The served engine, behind a read-write lock: requests take read,
     /// only `LOAD` takes write.
     pub engine: RwLock<Engine>,
-    /// Per-op latency histograms.
-    pub stats: StatsRegistry,
+    /// Served request latency in microseconds, indexed by
+    /// `OpClass as usize`.
+    pub latency: [AtomicHistogram; OpClass::ALL.len()],
     /// The unified metrics registry behind the `METRICS` opcode and the
     /// `bst-server metrics` CLI scrape.
     pub metrics: MetricsRegistry,
     cfg: ServerConfig,
     shutdown: AtomicBool,
     active: AtomicUsize,
-    sessions_served: AtomicU64,
-    sessions_refused: AtomicU64,
-    frames_served: AtomicU64,
+    sessions_served: Counter,
+    sessions_refused: Counter,
+    frames_served: Counter,
     /// Frames refused before dispatch: zero-length, over-limit, or
     /// undecodable payloads.
     frame_errors: Counter,
@@ -149,14 +152,14 @@ impl ServerState {
     fn new(system: ShardedBstSystem, cfg: ServerConfig, durable: Option<DurableBstSystem>) -> Self {
         ServerState {
             engine: RwLock::new(Engine { epoch: 0, system }),
-            stats: StatsRegistry::new(),
+            latency: OpClass::ALL.map(|_| AtomicHistogram::new()),
             metrics: MetricsRegistry::new(),
             cfg,
             shutdown: AtomicBool::new(false),
             active: AtomicUsize::new(0),
-            sessions_served: AtomicU64::new(0),
-            sessions_refused: AtomicU64::new(0),
-            frames_served: AtomicU64::new(0),
+            sessions_served: Counter::new(),
+            sessions_refused: Counter::new(),
+            frames_served: Counter::new(),
             frame_errors: Counter::new(),
             session_slots: Gauge::new(),
             engine_ops: EngineOpTotals::default(),
@@ -187,23 +190,8 @@ impl ServerState {
         self.active.load(Ordering::Relaxed) as u32
     }
 
-    /// Connections accepted and served since startup.
-    pub fn sessions_served(&self) -> u64 {
-        self.sessions_served.load(Ordering::Relaxed)
-    }
-
-    /// Connections refused by the max-connections policy.
-    pub fn sessions_refused(&self) -> u64 {
-        self.sessions_refused.load(Ordering::Relaxed)
-    }
-
-    /// Frames processed since startup.
-    pub fn frames_served(&self) -> u64 {
-        self.frames_served.load(Ordering::Relaxed)
-    }
-
     /// Folds one served query's drained [`OpStats`] into the cumulative
-    /// engine totals (STATS `engine_*` fields, `bst_engine_ops_total`).
+    /// engine totals (`bst_engine_ops_total`).
     pub(crate) fn note_engine_stats(&self, stats: OpStats) {
         self.engine_ops.note(stats);
     }
@@ -241,24 +229,25 @@ fn install_metrics(state: &Arc<ServerState>) {
         &[],
         weak(|s| s.active_connections() as f64),
     );
-    m.gauge_fn(
-        "bst_server_sessions_served_total",
-        "Connections accepted and served since startup",
-        &[],
-        weak(|s| s.sessions_served() as f64),
-    );
-    m.gauge_fn(
-        "bst_server_sessions_refused_total",
-        "Connections refused by the max-connections policy",
-        &[],
-        weak(|s| s.sessions_refused() as f64),
-    );
-    m.gauge_fn(
-        "bst_server_frames_served_total",
-        "Frames processed since startup",
-        &[],
-        weak(|s| s.frames_served() as f64),
-    );
+    for (name, help, handle) in [
+        (
+            "bst_server_sessions_served_total",
+            "Connections accepted and served since startup",
+            &state.sessions_served,
+        ),
+        (
+            "bst_server_sessions_refused_total",
+            "Connections refused by the max-connections policy",
+            &state.sessions_refused,
+        ),
+        (
+            "bst_server_frames_served_total",
+            "Frames processed since startup",
+            &state.frames_served,
+        ),
+    ] {
+        m.register_counter(name, help, &[], handle.clone());
+    }
     m.register_counter(
         "bst_server_frame_errors_total",
         "Frames refused before dispatch (zero-length, over-limit, or undecodable)",
@@ -271,12 +260,12 @@ fn install_metrics(state: &Arc<ServerState>) {
         &[],
         state.session_slots.clone(),
     );
-    for class in OpClass::ALL {
+    for (class, hist) in OpClass::ALL.iter().zip(&state.latency) {
         m.register_histogram(
             "bst_server_request_latency_us",
             "Served request latency in microseconds, by operation class",
             &[("op", class.name())],
-            state.stats.class_histogram(class),
+            hist.clone(),
         );
     }
     for (kind, handle) in [
@@ -484,7 +473,7 @@ fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
                     continue;
                 }
                 state.active.fetch_add(1, Ordering::Relaxed);
-                state.sessions_served.fetch_add(1, Ordering::Relaxed);
+                state.sessions_served.inc();
                 let worker_state = Arc::clone(&state);
                 let spawned = std::thread::Builder::new()
                     .name("bst-server-conn".into())
@@ -517,7 +506,7 @@ fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
 
 /// Answers an over-limit arrival with a typed `Busy` frame and closes.
 fn refuse_busy(mut stream: TcpStream, state: &ServerState) {
-    state.sessions_refused.fetch_add(1, Ordering::Relaxed);
+    state.sessions_refused.inc();
     let e = WireError::Busy {
         active: state.active_connections(),
         max: state.cfg.max_connections as u32,
@@ -644,7 +633,7 @@ fn connection_loop(mut stream: TcpStream, state: &ServerState) -> io::Result<()>
         }
         let mut payload = vec![0u8; len as usize];
         poll_read_exact(&mut stream, state, &mut payload, false)?;
-        state.frames_served.fetch_add(1, Ordering::Relaxed);
+        state.frames_served.inc();
 
         if state.shutting_down() {
             write_frame(
@@ -664,9 +653,7 @@ fn connection_loop(mut stream: TcpStream, state: &ServerState) -> io::Result<()>
                 let class = OpClass::classify(&req);
                 let started = Instant::now();
                 let outcome = handler::handle(state, &mut session, req);
-                state
-                    .stats
-                    .record(class, started.elapsed().as_secs_f64() * 1e6);
+                state.latency[class as usize].record(started.elapsed().as_secs_f64() * 1e6);
                 slots.update(&session);
                 let bytes = match &outcome.reply {
                     Ok(resp) => protocol::encode_response(resp),

@@ -1,49 +1,35 @@
-//! Per-operation latency accounting for the live STATS surface.
+//! The operation classes that per-op latency is accounted under.
 //!
-//! Every served frame is timed and recorded into one of eight
-//! [`OpClass`] histograms ([`bst_stats::histogram::Histogram`],
-//! microsecond bins). The STATS reply reports p50/p95/p99 per class plus
-//! a grand total built with [`Histogram::merge`] — merging is exact, so
-//! the total row equals recording every request into one histogram.
+//! Every served frame is timed and recorded into its class's
+//! [`bst_obs::AtomicHistogram`]; the histograms render on the METRICS
+//! page as `bst_server_request_latency_us{op="<class name>"}`.
 
-use bst_obs::AtomicHistogram;
-use bst_stats::histogram::Histogram;
-
-use crate::protocol::{OpLatencyRow, Request};
-
-/// Latency range covered by the histograms: `[0, 1s)` in microseconds
-/// with 10 µs bins — tight enough to resolve warm-path samples (tens of
-/// µs over loopback). Slower requests (big snapshots, mostly) are
-/// counted as outliers: still in `count`, excluded from percentiles.
-const HIST_LO_US: f64 = 0.0;
-const HIST_HI_US: f64 = 1_000_000.0;
-const HIST_BINS: usize = 100_000;
+use crate::protocol::Request;
 
 /// The operation classes the latency surface distinguishes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
 pub enum OpClass {
     /// `CREATE`.
-    Create = 0,
+    Create,
     /// Stored-set churn: `INSERT_KEYS`, `REMOVE_KEYS`, `DROP_SET`.
-    SetChurn = 1,
+    SetChurn,
     /// Namespace-occupancy churn: `OCC_INSERT`, `OCC_REMOVE`.
-    Occupancy = 2,
+    Occupancy,
     /// `SAMPLE` and `SAMPLE_MANY`.
-    Sample = 3,
+    Sample,
     /// `RECONSTRUCT` and `RECONSTRUCT_RANGE`.
-    Reconstruct = 4,
+    Reconstruct,
     /// `BATCH`.
-    Batch = 5,
+    Batch,
     /// `SAVE` and `LOAD`.
-    Snapshot = 6,
-    /// Everything else: `PING`, `GET`, `LIST_SETS`, `STATS`, `METRICS`,
+    Snapshot,
+    /// Everything else: `PING`, `GET`, `LIST_SETS`, `METRICS`,
     /// `SHUTDOWN`.
-    Admin = 7,
+    Admin,
 }
 
 impl OpClass {
-    /// Every class, in wire-tag order.
+    /// Every class, in declaration order (`ALL[c as usize] == c`).
     pub const ALL: [OpClass; 8] = [
         OpClass::Create,
         OpClass::SetChurn,
@@ -55,20 +41,7 @@ impl OpClass {
         OpClass::Admin,
     ];
 
-    /// The tag used for `total` rows in the STATS reply (not a class).
-    pub const TOTAL_TAG: u8 = 255;
-
-    /// The wire tag shipped in [`OpLatencyRow::op`].
-    pub fn tag(self) -> u8 {
-        self as u8
-    }
-
-    /// Inverse of [`Self::tag`].
-    pub fn from_tag(tag: u8) -> Option<OpClass> {
-        OpClass::ALL.get(tag as usize).copied()
-    }
-
-    /// Human-readable class name (for the CLI's stats rendering).
+    /// The class's `op` label value on the METRICS page.
     pub fn name(self) -> &'static str {
         match self {
             OpClass::Create => "create",
@@ -97,83 +70,10 @@ impl OpClass {
             Request::Ping
             | Request::Get { .. }
             | Request::ListSets
-            | Request::Stats
             | Request::Metrics
             | Request::Shutdown => OpClass::Admin,
         }
     }
-}
-
-/// Thread-safe per-class latency histograms, shared by every worker.
-///
-/// Each class is a [`bst_obs::AtomicHistogram`], so recording on the
-/// serving path is two relaxed atomic ops — no lock — and the same
-/// handles double as the `bst_server_request_latency_us` series on the
-/// server's metrics registry ([`Self::class_histogram`]): STATS rows
-/// and a METRICS scrape read the very same cells.
-pub struct StatsRegistry {
-    hists: Vec<AtomicHistogram>,
-}
-
-impl StatsRegistry {
-    /// An empty registry (one histogram per [`OpClass`]).
-    pub fn new() -> Self {
-        StatsRegistry {
-            hists: OpClass::ALL
-                .iter()
-                .map(|_| AtomicHistogram::new(HIST_LO_US, HIST_HI_US, HIST_BINS))
-                .collect(),
-        }
-    }
-
-    /// Records one served request of class `op` that took `micros` µs.
-    pub fn record(&self, op: OpClass, micros: f64) {
-        self.hists[op.tag() as usize].record(micros);
-    }
-
-    /// A clone of one class's histogram handle — shares cells with the
-    /// registry, for registration on a [`bst_obs::MetricsRegistry`].
-    pub fn class_histogram(&self, op: OpClass) -> AtomicHistogram {
-        self.hists[op.tag() as usize].clone()
-    }
-
-    /// Percentile rows for every class with at least one observation,
-    /// plus the merged grand total (`None` while nothing was recorded).
-    pub fn rows(&self) -> (Vec<OpLatencyRow>, Option<OpLatencyRow>) {
-        let mut rows = Vec::new();
-        let mut merged = Histogram::new(HIST_LO_US, HIST_HI_US, HIST_BINS);
-        for (class, h) in OpClass::ALL.iter().zip(self.hists.iter()) {
-            let snap = h.snapshot();
-            merged.merge(&snap);
-            if let Some(row) = row_of(class.tag(), &snap) {
-                rows.push(row);
-            }
-        }
-        (rows, row_of(OpClass::TOTAL_TAG, &merged))
-    }
-}
-
-impl Default for StatsRegistry {
-    fn default() -> Self {
-        StatsRegistry::new()
-    }
-}
-
-fn row_of(tag: u8, h: &Histogram) -> Option<OpLatencyRow> {
-    let count = h.total() + h.outliers();
-    if count == 0 {
-        return None;
-    }
-    // Outlier-only histograms have no in-range percentiles; report the
-    // range ceiling rather than dropping the row (count still matters).
-    let q = |p: Option<f64>| p.unwrap_or(HIST_HI_US);
-    Some(OpLatencyRow {
-        op: tag,
-        count,
-        p50_us: q(h.p50()),
-        p95_us: q(h.p95()),
-        p99_us: q(h.p99()),
-    })
 }
 
 #[cfg(test)]
@@ -204,42 +104,9 @@ mod tests {
         );
         assert_eq!(OpClass::classify(&Request::Save), OpClass::Snapshot);
         assert_eq!(OpClass::classify(&Request::Ping), OpClass::Admin);
-        for class in OpClass::ALL {
-            assert_eq!(OpClass::from_tag(class.tag()), Some(class));
+        for (i, class) in OpClass::ALL.into_iter().enumerate() {
+            assert_eq!(class as usize, i);
             assert!(!class.name().is_empty());
         }
-        assert_eq!(OpClass::from_tag(OpClass::TOTAL_TAG), None);
-    }
-
-    #[test]
-    fn rows_report_counts_and_merged_total() {
-        let reg = StatsRegistry::new();
-        assert_eq!(reg.rows(), (vec![], None));
-        for _ in 0..100 {
-            reg.record(OpClass::Sample, 50.0);
-        }
-        reg.record(OpClass::Batch, 5_000.0);
-        let (rows, total) = reg.rows();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].op, OpClass::Sample.tag());
-        assert_eq!(rows[0].count, 100);
-        assert_eq!(rows[1].op, OpClass::Batch.tag());
-        let total = total.expect("recorded requests");
-        assert_eq!(total.op, OpClass::TOTAL_TAG);
-        assert_eq!(total.count, 101);
-        // 100 of 101 samples sit at 50µs: the median must be in that bin.
-        let bin = (HIST_HI_US - HIST_LO_US) / HIST_BINS as f64;
-        assert!(total.p50_us <= 50.0 + bin, "p50 {}", total.p50_us);
-    }
-
-    #[test]
-    fn outlier_only_class_still_counts() {
-        let reg = StatsRegistry::new();
-        reg.record(OpClass::Snapshot, HIST_HI_US * 2.0);
-        let (rows, total) = reg.rows();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].count, 1);
-        assert_eq!(rows[0].p99_us, HIST_HI_US);
-        assert_eq!(total.unwrap().count, 1);
     }
 }

@@ -7,6 +7,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use bst_core::wal::FsyncPolicy;
+use bst_obs::expo::scrape;
 use bst_server::client::{Client, ClientError};
 use bst_server::protocol::{Target, WireError};
 use bst_server::server::{serve, serve_durable, ServerConfig, ServerHandle};
@@ -118,13 +119,13 @@ fn save_checkpoints_and_empty_load_recovers_under_concurrent_traffic() {
         }
 
         // Epoch advanced once per recovery.
-        let stats = admin.stats().expect("stats");
-        assert_eq!(stats.epoch, 10);
-        assert_eq!(stats.sets as usize, all_ids.len());
+        let page = admin.metrics().expect("metrics");
+        let gauge = |family| scrape(&page, family, &[]).expect("engine gauge");
+        assert_eq!(gauge("bst_engine_epoch"), 10.0);
+        assert_eq!(gauge("bst_engine_sets"), all_ids.len() as f64);
 
         // WAL series are on the METRICS page, and recovery really
         // replayed a tail (mutations landed after the last checkpoint).
-        let page = admin.metrics().expect("metrics");
         for series in [
             "bst_wal_records_total",
             "bst_wal_fsyncs_total",

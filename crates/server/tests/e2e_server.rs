@@ -14,6 +14,7 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use bst_obs::expo::scrape;
 use bst_server::client::{Client, ClientError};
 use bst_server::protocol::{Request, Target, WireError};
 use bst_server::server::{serve, ServerConfig, ServerHandle};
@@ -34,6 +35,11 @@ fn spawn(namespace: u64, shards: usize, cfg: ServerConfig) -> (ServerHandle, Sha
 
 fn member_keys(n: u64, namespace: u64) -> Vec<u64> {
     (0..n).map(|i| (i * 97 + 13) % namespace).collect()
+}
+
+/// One series' value off a METRICS page; the series must be present.
+fn metric(page: &str, family: &str, labels: &[(&str, &str)]) -> f64 {
+    scrape(page, family, labels).unwrap_or_else(|| panic!("no {family}{labels:?} on\n{page}"))
 }
 
 #[test]
@@ -135,10 +141,13 @@ fn snapshot_save_load_roundtrips_byte_identically_through_the_protocol() {
     assert_eq!(client.list_sets().unwrap(), vec![a, b]);
     let key = client.sample(Target::Stored(a), 9).unwrap();
     assert!(key < 2_048);
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.epoch, 1);
-    assert_eq!(stats.sets, 2);
-    assert_eq!(stats.occupied, 2_048 - 2);
+    let page = client.metrics().unwrap();
+    assert_eq!(metric(&page, "bst_engine_epoch", &[]), 1.0);
+    assert_eq!(metric(&page, "bst_engine_sets", &[]), 2.0);
+    assert_eq!(
+        metric(&page, "bst_engine_occupied", &[]),
+        (2_048 - 2) as f64
+    );
 }
 
 #[test]
@@ -166,6 +175,19 @@ fn malformed_frames_get_typed_errors_and_the_connection_survives() {
     assert!(matches!(
         client.read_reply(),
         Err(ClientError::Wire(WireError::UnknownOpcode { got: 200 }))
+    ));
+
+    // A stray STATS frame (opcode 17, retired in protocol version 2),
+    // both as a current-version frame and in its original version 1.
+    send_raw(client.stream(), &[bst_server::protocol::PROTO_VERSION, 17]);
+    assert!(matches!(
+        client.read_reply(),
+        Err(ClientError::Wire(WireError::UnknownOpcode { got: 17 }))
+    ));
+    send_raw(client.stream(), &[1, 17]);
+    assert!(matches!(
+        client.read_reply(),
+        Err(ClientError::Wire(WireError::BadVersion { got: 1 }))
     ));
 
     // Truncated body.
@@ -244,9 +266,12 @@ fn backpressure_refuses_connections_over_the_cap_with_a_typed_frame() {
     // worker's poll interval) and new connections are served again.
     drop(first);
     let mut again = retry_connect_and_ping(handle.addr());
-    let stats = again.stats().unwrap();
-    assert!(stats.sessions_refused >= 1, "refusal must be counted");
-    assert_eq!(stats.active_connections, 1);
+    let page = again.metrics().unwrap();
+    assert!(
+        metric(&page, "bst_server_sessions_refused_total", &[]) >= 1.0,
+        "refusal must be counted"
+    );
+    assert_eq!(metric(&page, "bst_server_active_connections", &[]), 1.0);
 }
 
 fn retry_connect_and_ping(addr: std::net::SocketAddr) -> Client {
@@ -336,28 +361,44 @@ fn stats_surface_reports_latencies_and_weight_cache() {
         client.sample(Target::Stored(set), i).unwrap();
     }
     client.batch(vec![Target::Stored(set)], 5).unwrap();
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.namespace, 1_024);
-    assert_eq!(stats.shards, 2);
-    assert_eq!(stats.sets, 1);
-    assert!(stats.frames_served >= 22);
-    assert_eq!(stats.active_connections, 1);
+    let page = client.metrics().unwrap();
+    assert_eq!(metric(&page, "bst_engine_namespace", &[]), 1_024.0);
+    assert_eq!(metric(&page, "bst_engine_shards", &[]), 2.0);
+    assert_eq!(metric(&page, "bst_engine_sets", &[]), 1.0);
+    assert!(metric(&page, "bst_server_frames_served_total", &[]) >= 22.0);
+    assert_eq!(metric(&page, "bst_server_active_connections", &[]), 1.0);
     // The batch path went through the persistent weight cache.
+    let cache = |kind| metric(&page, "bst_engine_weight_cache_total", &[("kind", kind)]);
     assert!(
-        stats.weight_cache_hits + stats.weight_cache_misses > 0,
-        "batch must touch the weight cache: {stats:?}"
+        cache("hits") + cache("misses") > 0.0,
+        "batch must touch the weight cache"
     );
     // Sample and batch latency rows exist, with sane percentiles.
-    let sample_row = stats
-        .ops
+    let sample = [("op", "sample")];
+    assert_eq!(
+        metric(&page, "bst_server_request_latency_us_count", &sample),
+        20.0
+    );
+    let q = |q| {
+        metric(
+            &page,
+            "bst_server_request_latency_us",
+            &[sample[0], ("quantile", q)],
+        )
+    };
+    assert!(q("0.5") <= q("0.95"));
+    assert!(q("0.95") <= q("0.99"));
+    let total: f64 = bst_server::stats::OpClass::ALL
         .iter()
-        .find(|r| r.op == bst_server::stats::OpClass::Sample.tag())
-        .expect("sample row");
-    assert_eq!(sample_row.count, 20);
-    assert!(sample_row.p50_us <= sample_row.p95_us);
-    assert!(sample_row.p95_us <= sample_row.p99_us);
-    let total = stats.total.expect("total row");
-    assert!(total.count >= 22);
+        .map(|c| {
+            metric(
+                &page,
+                "bst_server_request_latency_us_count",
+                &[("op", c.name())],
+            )
+        })
+        .sum();
+    assert!(total >= 22.0);
 }
 
 #[test]

@@ -252,18 +252,13 @@ pub struct BatchObs {
 }
 
 impl BatchObs {
-    /// The `[lo, hi)` microsecond range and bin count of the phase
-    /// histograms (1 s ceiling at µs resolution ÷ 10).
-    pub const PHASE_US: (f64, f64, usize) = (0.0, 1_000_000.0, 100_000);
-
     /// Fresh handles not yet registered anywhere (the installer
     /// registers clones under its own naming).
     pub fn unregistered() -> Self {
-        let (lo, hi, bins) = Self::PHASE_US;
         BatchObs {
             batches: Counter::new(),
-            weigh_us: AtomicHistogram::new(lo, hi, bins),
-            sample_us: AtomicHistogram::new(lo, hi, bins),
+            weigh_us: AtomicHistogram::new(),
+            sample_us: AtomicHistogram::new(),
         }
     }
 }
@@ -1866,8 +1861,8 @@ mod tests {
         assert_eq!(obs.batches.get(), 1);
         // Cold batch: every (shard, filter) cell is weighed; both phase
         // histograms record once per batch, even when a phase is empty.
-        assert_eq!(obs.weigh_us.count(), 1);
-        assert_eq!(obs.sample_us.count(), 1);
+        assert_eq!(obs.weigh_us.snapshot().count(), 1);
+        assert_eq!(obs.sample_us.snapshot().count(), 1);
 
         let spans = ring.recent();
         let batch = spans
@@ -1892,7 +1887,7 @@ mod tests {
         let (results, _) = sys.query_batch(&filters, 6, 2);
         assert!(results.iter().all(|r| r.is_ok()));
         assert_eq!(obs.batches.get(), 2);
-        assert_eq!(obs.weigh_us.count(), 2);
+        assert_eq!(obs.weigh_us.snapshot().count(), 2);
         let spans = ring.recent();
         let warm = spans
             .iter()

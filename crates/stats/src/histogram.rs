@@ -1,7 +1,6 @@
 //! Fixed-bin histograms with an ASCII renderer, used by the examples to
 //! visualise empirical sampling distributions (the paper's §7.2 "empirically
-//! observed distribution of samples") and by `bst-server` to aggregate
-//! per-operation latencies ([`Histogram::merge`], [`Histogram::quantile`]).
+//! observed distribution of samples").
 
 /// A histogram over `[lo, hi)` with equally wide bins.
 #[derive(Clone, Debug)]
@@ -29,24 +28,6 @@ impl Histogram {
         }
     }
 
-    /// Builds a histogram directly from pre-counted bins — the snapshot
-    /// path for concurrent collectors (`bst-obs`) that accumulate counts
-    /// in atomics and materialise a queryable `Histogram` on demand.
-    /// Bin `i` covers the same interval [`Self::new`] would give it.
-    ///
-    /// # Panics
-    /// Panics if `counts` is empty or `lo >= hi`.
-    pub fn from_counts(lo: f64, hi: f64, counts: Vec<u64>, outliers: u64) -> Self {
-        assert!(!counts.is_empty(), "need at least one bin");
-        assert!(lo < hi, "empty range [{lo}, {hi})");
-        Histogram {
-            lo,
-            hi,
-            bins: counts,
-            outliers,
-        }
-    }
-
     /// Records one observation.
     pub fn record(&mut self, x: f64) {
         if x < self.lo || x >= self.hi {
@@ -66,78 +47,6 @@ impl Histogram {
     /// The `[lo, hi)` range the bins cover.
     pub fn range(&self) -> (f64, f64) {
         (self.lo, self.hi)
-    }
-
-    /// Adds every observation of `other` into `self`. Both histograms
-    /// must have the same shape (`lo`, `hi`, bin count), since bin `i`
-    /// of one must mean the same interval in the other.
-    ///
-    /// # Panics
-    /// Panics if the shapes differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert!(
-            self.lo == other.lo && self.hi == other.hi && self.bins.len() == other.bins.len(),
-            "histogram shapes differ: [{}, {})×{} vs [{}, {})×{}",
-            self.lo,
-            self.hi,
-            self.bins.len(),
-            other.lo,
-            other.hi,
-            other.bins.len()
-        );
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
-            *a += b;
-        }
-        self.outliers += other.outliers;
-    }
-
-    /// The `q`-quantile of the **in-range** observations (outliers are
-    /// excluded — check [`Self::outliers`] when they matter), linearly
-    /// interpolated within the containing bin. `None` when no in-range
-    /// observation was recorded. The answer is exact to within one bin
-    /// width of the true sample quantile (unit-tested against exact
-    /// sorted-sample quantiles).
-    ///
-    /// # Panics
-    /// Panics unless `0 ≤ q ≤ 1`.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1]");
-        let n = self.total();
-        if n == 0 {
-            return None;
-        }
-        // The rank-th smallest in-range observation (1-based), the
-        // classic "smallest x with CDF(x) ≥ q" definition.
-        let rank = ((q * n as f64).ceil() as u64).clamp(1, n);
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        let mut cum = 0u64;
-        for (i, &c) in self.bins.iter().enumerate() {
-            if cum + c >= rank {
-                let within = if c == 0 {
-                    0.0
-                } else {
-                    (rank - cum) as f64 / c as f64
-                };
-                return Some(self.lo + (i as f64 + within) * width);
-            }
-            cum += c;
-        }
-        unreachable!("rank <= total")
-    }
-
-    /// The median of the in-range observations ([`Self::quantile`] at 0.5).
-    pub fn p50(&self) -> Option<f64> {
-        self.quantile(0.5)
-    }
-
-    /// The 95th percentile of the in-range observations.
-    pub fn p95(&self) -> Option<f64> {
-        self.quantile(0.95)
-    }
-
-    /// The 99th percentile of the in-range observations.
-    pub fn p99(&self) -> Option<f64> {
-        self.quantile(0.99)
     }
 
     /// Observations that fell outside the range.
@@ -188,25 +97,6 @@ mod tests {
     }
 
     #[test]
-    fn from_counts_equals_recording() {
-        let mut recorded = Histogram::new(0.0, 10.0, 5);
-        for v in [0.0, 1.9, 2.0, 9.99, -1.0, 12.0] {
-            recorded.record(v);
-        }
-        let rebuilt = Histogram::from_counts(0.0, 10.0, recorded.counts().to_vec(), 2);
-        assert_eq!(rebuilt.counts(), recorded.counts());
-        assert_eq!(rebuilt.outliers(), recorded.outliers());
-        assert_eq!(rebuilt.p50(), recorded.p50());
-        assert_eq!(rebuilt.range(), recorded.range());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn from_counts_rejects_empty() {
-        let _ = Histogram::from_counts(0.0, 1.0, vec![], 0);
-    }
-
-    #[test]
     fn outliers_tracked() {
         let mut h = Histogram::new(0.0, 1.0, 2);
         h.record(-0.5);
@@ -236,109 +126,5 @@ mod tests {
     #[should_panic(expected = "at least one bin")]
     fn zero_bins_panic() {
         let _ = Histogram::new(0.0, 1.0, 0);
-    }
-
-    #[test]
-    fn merge_adds_counts_and_outliers() {
-        let mut a = Histogram::new(0.0, 10.0, 5);
-        a.record(1.0);
-        a.record(5.0);
-        a.record(-3.0);
-        let mut b = Histogram::new(0.0, 10.0, 5);
-        b.record(1.5);
-        b.record(9.0);
-        b.record(42.0);
-        a.merge(&b);
-        assert_eq!(a.counts(), &[2, 0, 1, 0, 1]);
-        assert_eq!(a.outliers(), 2);
-        assert_eq!(a.total(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "shapes differ")]
-    fn merge_rejects_shape_mismatch() {
-        let mut a = Histogram::new(0.0, 10.0, 5);
-        let b = Histogram::new(0.0, 10.0, 6);
-        a.merge(&b);
-    }
-
-    #[test]
-    fn quantiles_match_exact_sorted_sample_quantiles() {
-        // A deterministic, irregular sample: exact quantiles computed by
-        // sorting must agree with the histogram's interpolated ones to
-        // within one bin width.
-        let values: Vec<f64> = (0..5_000u64)
-            .map(|i| ((i * 2_654_435_761) % 100_000) as f64 / 100.0)
-            .collect();
-        let (lo, hi, bins) = (0.0, 1_000.0, 2_000);
-        let width = (hi - lo) / bins as f64;
-        let mut h = Histogram::new(lo, hi, bins);
-        for &v in &values {
-            h.record(v);
-        }
-        let mut sorted = values.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for q in [0.01, 0.1, 0.5, 0.9, 0.95, 0.99, 1.0] {
-            let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-            let exact = sorted[rank - 1];
-            let approx = h.quantile(q).expect("non-empty");
-            assert!(
-                (approx - exact).abs() <= width,
-                "q={q}: histogram {approx} vs exact {exact} (bin width {width})"
-            );
-        }
-        assert_eq!(h.p50(), h.quantile(0.5));
-        assert_eq!(h.p95(), h.quantile(0.95));
-        assert_eq!(h.p99(), h.quantile(0.99));
-    }
-
-    #[test]
-    fn quantile_edge_cases() {
-        let empty = Histogram::new(0.0, 1.0, 4);
-        assert_eq!(empty.quantile(0.5), None);
-
-        // Outliers alone leave the in-range quantile undefined.
-        let mut out_only = Histogram::new(0.0, 1.0, 4);
-        out_only.record(5.0);
-        assert_eq!(out_only.p50(), None);
-
-        // A single observation answers every quantile within its bin.
-        let mut one = Histogram::new(0.0, 8.0, 4);
-        one.record(3.0);
-        for q in [0.0, 0.5, 1.0] {
-            let v = one.quantile(q).unwrap();
-            assert!((2.0..=4.0).contains(&v), "q={q}: {v}");
-        }
-        assert_eq!(one.range(), (0.0, 8.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "outside [0, 1]")]
-    fn quantile_rejects_bad_q() {
-        let mut h = Histogram::new(0.0, 1.0, 2);
-        h.record(0.5);
-        let _ = h.quantile(1.5);
-    }
-
-    #[test]
-    fn merged_quantiles_equal_combined_sample() {
-        // Quantiles of a merge = quantiles of recording everything into
-        // one histogram (merge is exact, not an approximation).
-        let mut a = Histogram::new(0.0, 100.0, 200);
-        let mut b = Histogram::new(0.0, 100.0, 200);
-        let mut all = Histogram::new(0.0, 100.0, 200);
-        for i in 0..1_000u64 {
-            let v = ((i * 97) % 1_000) as f64 / 10.0;
-            if i % 3 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-            all.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.counts(), all.counts());
-        assert_eq!(a.p50(), all.p50());
-        assert_eq!(a.p99(), all.p99());
     }
 }

@@ -1,7 +1,7 @@
 //! The serving layer end to end, in one process: a `bst-server` bound
 //! to an ephemeral loopback port, driven by the wire client through the
 //! whole facade — set lifecycle, occupancy churn, warm-path sampling,
-//! a mixed batch, a snapshot round-trip, and the live STATS surface —
+//! a mixed batch, a snapshot round-trip, and the METRICS page —
 //! with the wire answers checked against an in-process handle on the
 //! very same engine, and warm loopback sample latency measured against
 //! the in-process equivalent.
@@ -11,6 +11,7 @@
 use std::time::Instant;
 
 use bloomsampletree::ShardedBstSystem;
+use bst_obs::expo::scrape;
 use bst_server::client::Client;
 use bst_server::protocol::Target;
 use bst_server::server::{serve, ServerConfig};
@@ -120,28 +121,40 @@ fn main() {
         snapshot.len()
     );
 
-    // --- The live stats surface -----------------------------------------
-    let stats = client.stats().expect("stats");
+    // --- The metrics page -----------------------------------------------
+    let page = client.metrics().expect("metrics");
+    let value = |family: &str, labels: &[(&str, &str)]| {
+        scrape(&page, family, labels).expect("series on the metrics page")
+    };
     println!(
-        "server stats: {} sets, {} occupied, epoch {}, {} frames over {} sessions",
-        stats.sets, stats.occupied, stats.epoch, stats.frames_served, stats.sessions_served
+        "server metrics: {} sets, {} occupied, epoch {}, {} frames over {} sessions",
+        value("bst_engine_sets", &[]),
+        value("bst_engine_occupied", &[]),
+        value("bst_engine_epoch", &[]),
+        value("bst_server_frames_served_total", &[]),
+        value("bst_server_sessions_served_total", &[])
     );
+    let cache = |kind| value("bst_engine_weight_cache_total", &[("kind", kind)]);
     println!(
         "weight cache: {} hits / {} misses / {} repairs",
-        stats.weight_cache_hits, stats.weight_cache_misses, stats.weight_cache_repairs
+        cache("hits"),
+        cache("misses"),
+        cache("repairs")
     );
     println!("latency (µs):     count      p50      p95      p99");
-    for row in &stats.ops {
-        let name = OpClass::from_tag(row.op).map_or("?", OpClass::name);
+    for class in OpClass::ALL {
+        let op = ("op", class.name());
+        let count = value("bst_server_request_latency_us_count", &[op]);
+        if count == 0.0 {
+            continue;
+        }
+        let q = |q| value("bst_server_request_latency_us", &[op, ("quantile", q)]);
         println!(
-            "  {name:<12} {:>8} {:>8.1} {:>8.1} {:>8.1}",
-            row.count, row.p50_us, row.p95_us, row.p99_us
-        );
-    }
-    if let Some(t) = &stats.total {
-        println!(
-            "  {:<12} {:>8} {:>8.1} {:>8.1} {:>8.1}",
-            "total", t.count, t.p50_us, t.p95_us, t.p99_us
+            "  {:<12} {count:>8} {:>8.1} {:>8.1} {:>8.1}",
+            class.name(),
+            q("0.5"),
+            q("0.95"),
+            q("0.99")
         );
     }
 
