@@ -39,9 +39,9 @@ fn bench_batch_phase1(c: &mut Criterion) {
             .expected_set_size(1000)
             .seed(1)
             .hash_kind(kind)
-            .weight_cache(false)
             .occupied(occ.iter().copied())
             .build();
+        engine.set_weight_cache(false);
         let filters: Vec<_> = (0..BATCH_SLOTS)
             .map(|i| {
                 engine.store(

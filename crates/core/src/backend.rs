@@ -1,6 +1,6 @@
 //! Backend polymorphism for the facade: one [`TreeBackend`] serves both
 //! the dense, complete [`BloomSampleTree`] and the occupancy-aware
-//! [`PrunedBloomSampleTree`] through the same `query()`/`query_batch()`
+//! [`PrunedBloomSampleTree`] through the same `query()`/`query_id()`
 //! surface — and, for the pruned backend, lets the *namespace occupancy
 //! itself* evolve behind the shared `Arc`.
 //!
@@ -193,15 +193,6 @@ impl TreeBackend {
         match self {
             TreeBackend::Dense(_) => 0,
             TreeBackend::Pruned(p) => p.generation.load(Ordering::Acquire),
-        }
-    }
-
-    /// Applies a mutation-journal retention bound (see
-    /// [`PrunedBloomSampleTree::set_journal_cap`]). No-op for dense
-    /// backends, whose occupancy never mutates.
-    pub fn set_journal_cap(&self, cap: usize) {
-        if let TreeBackend::Pruned(p) = self {
-            p.tree.write().set_journal_cap(cap);
         }
     }
 

@@ -15,7 +15,6 @@
 //! * [`metrics::OpStats`] — the intersection/membership accounting behind
 //!   Figures 3–4 and 8–12;
 //! * [`costmodel::CostModel`] — runtime `icost/mcost` calibration (§5.4);
-//! * [`multiquery`] — parallel batch sampling over many query filters;
 //! * [`error::BstError`] — typed failure reasons for every fallible op;
 //! * [`system::BstSystem`] — the `Arc`-shared, `Send + Sync` facade over
 //!   a [`backend::TreeBackend`] (dense, or pruned with tree-generation-
@@ -31,8 +30,7 @@
 //! ## Example
 //!
 //! One tree serves a mutable database of filter-backed sets; per-filter
-//! work goes through generation-stamped [`query::Query`] handles and
-//! batches fan out over worker threads:
+//! work goes through generation-stamped [`query::Query`] handles:
 //!
 //! ```
 //! use bst_core::system::BstSystem;
@@ -44,15 +42,6 @@
 //! let query = system.query_id(community).unwrap();
 //! system.insert_keys(community, [49_999u64]).unwrap();
 //! assert!(query.reconstruct().unwrap().binary_search(&49_999).is_ok());
-//!
-//! // Batch sampling across many detached filters at once.
-//! let filters: Vec<_> = (0..4)
-//!     .map(|i| system.store((0..40u64).map(|j| (i * 997 + j * 13) % 50_000)))
-//!     .collect();
-//! let (picks, _stats) = system.query_batch(&filters, 7, 0);
-//! for (filter, pick) in filters.iter().zip(&picks) {
-//!     assert!(filter.contains(pick.unwrap()));
-//! }
 //! ```
 
 #![warn(missing_docs)]
@@ -62,7 +51,6 @@ pub mod baselines;
 pub mod costmodel;
 pub mod error;
 pub mod metrics;
-pub mod multiquery;
 pub mod persistence;
 pub mod pruned;
 pub mod query;

@@ -61,8 +61,8 @@ struct PrunedNode {
 
 /// Default bound on mutations remembered by the journal; older history
 /// forces readers through a full cache reset, so this bounds repair
-/// work per sync. Tunable per system via
-/// [`crate::system::BstConfig::journal_cap`].
+/// work per sync. Tests tune it per tree with
+/// [`PrunedBloomSampleTree::set_journal_cap`].
 pub const DEFAULT_JOURNAL_CAP: usize = 256;
 
 /// An occupancy-aware BloomSampleTree.

@@ -47,10 +47,8 @@ use bst_obs::Tracer;
 use bytes::{BufMut, BytesMut};
 
 use crate::backend::TreeBackend;
-use crate::costmodel::CostModel;
 use crate::error::BstError;
 use crate::metrics::OpStats;
-use crate::multiquery;
 use crate::persistence::{self, PersistError};
 use crate::pruned::PrunedBloomSampleTree;
 use crate::query::Query;
@@ -65,29 +63,12 @@ const SYSTEM_MAGIC: &[u8; 4] = b"BSTS";
 
 /// Unified behaviour configuration for a [`BstSystem`]: the sampling and
 /// reconstruction knobs in one place, set once at build time.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct BstConfig {
     /// Sampling behaviour (liveness rule, ratio estimator, correction).
     pub sampler: SamplerConfig,
     /// Reconstruction behaviour (pruning discipline).
     pub reconstruct: ReconstructConfig,
-    /// Mutation-journal retention bound for pruned backends (must be
-    /// ≥ 1): how many occupancy mutations stay replayable for warm
-    /// cache repair before readers fall back to a full reset. Raise it
-    /// when checkpoints (WAL compaction) are spaced far apart and warm
-    /// handles sync rarely; the default is
-    /// [`crate::pruned::DEFAULT_JOURNAL_CAP`].
-    pub journal_cap: usize,
-}
-
-impl Default for BstConfig {
-    fn default() -> Self {
-        BstConfig {
-            sampler: SamplerConfig::default(),
-            reconstruct: ReconstructConfig::default(),
-            journal_cap: crate::pruned::DEFAULT_JOURNAL_CAP,
-        }
-    }
 }
 
 impl BstConfig {
@@ -98,7 +79,6 @@ impl BstConfig {
         BstConfig {
             sampler: SamplerConfig::paper(),
             reconstruct: ReconstructConfig::paper(),
-            ..Self::default()
         }
     }
 
@@ -107,7 +87,7 @@ impl BstConfig {
     pub fn corrected() -> Self {
         BstConfig {
             sampler: SamplerConfig::corrected(),
-            ..Self::default()
+            reconstruct: ReconstructConfig::default(),
         }
     }
 
@@ -117,30 +97,15 @@ impl BstConfig {
         self
     }
 
-    /// Replaces the reconstruction configuration.
-    pub fn with_reconstruct(mut self, reconstruct: ReconstructConfig) -> Self {
-        self.reconstruct = reconstruct;
-        self
-    }
-
-    /// Replaces the mutation-journal retention bound.
-    pub fn with_journal_cap(mut self, cap: usize) -> Self {
-        self.journal_cap = cap;
-        self
-    }
-
     /// Checks both algorithm configurations, naming the broken invariant.
     pub fn validate(&self) -> Result<(), BstError> {
         self.sampler.validate()?;
-        self.reconstruct.validate()?;
-        if self.journal_cap == 0 {
-            return Err(BstError::InvalidConfig("journal cap must be >= 1"));
-        }
-        Ok(())
+        self.reconstruct.validate()
     }
 }
 
 /// Builder for a [`BstSystem`].
+#[derive(Clone)]
 pub struct BstSystemBuilder {
     namespace: u64,
     accuracy: f64,
@@ -150,8 +115,6 @@ pub struct BstSystemBuilder {
     seed: u64,
     cfg: BstConfig,
     depth_override: Option<u32>,
-    measure_costs: bool,
-    threads: usize,
     occupied: Option<Vec<u64>>,
 }
 
@@ -166,8 +129,6 @@ impl BstSystemBuilder {
             seed: 0,
             cfg: BstConfig::default(),
             depth_override: None,
-            measure_costs: false,
-            threads: 0,
             occupied: None,
         }
     }
@@ -208,40 +169,9 @@ impl BstSystemBuilder {
         self
     }
 
-    /// Sampling behaviour (liveness rule, ratio estimator, correction).
-    pub fn sampler(mut self, cfg: SamplerConfig) -> Self {
-        self.cfg.sampler = cfg;
-        self
-    }
-
-    /// Reconstruction behaviour (pruning discipline).
-    pub fn reconstructor(mut self, cfg: ReconstructConfig) -> Self {
-        self.cfg.reconstruct = cfg;
-        self
-    }
-
-    /// Mutation-journal retention bound (pruned backends; must be ≥ 1).
-    pub fn journal_cap(mut self, cap: usize) -> Self {
-        self.cfg.journal_cap = cap;
-        self
-    }
-
     /// Pins the tree depth instead of deriving it from the cost model.
     pub fn depth(mut self, depth: u32) -> Self {
         self.depth_override = Some(depth);
-        self
-    }
-
-    /// Measures `icost/mcost` on this machine to choose `M⊥` (otherwise a
-    /// representative default ratio is used).
-    pub fn measure_costs(mut self, yes: bool) -> Self {
-        self.measure_costs = yes;
-        self
-    }
-
-    /// Threads for tree construction (0 = all CPUs).
-    pub fn build_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -281,10 +211,6 @@ impl BstSystemBuilder {
             self.seed,
             128.0,
         );
-        if self.measure_costs {
-            let hasher = std::sync::Arc::new(plan.build_hasher());
-            plan = CostModel::measure(&hasher).retune_plan(&plan);
-        }
         if let Some(d) = self.depth_override {
             plan.depth = d;
             plan.leaf_capacity = params::leaf_size(self.namespace, d);
@@ -295,16 +221,14 @@ impl BstSystemBuilder {
             ));
         }
         let tree = match self.occupied {
-            None => TreeBackend::dense(BloomSampleTree::build_with_threads(&plan, self.threads)),
+            None => TreeBackend::dense(BloomSampleTree::build_with_threads(&plan, 0)),
             Some(mut occ) => {
                 occ.sort_unstable();
                 occ.dedup();
                 if occ.last().is_some_and(|&last| last >= self.namespace) {
                     return Err(BstError::InvalidConfig("occupied id outside the namespace"));
                 }
-                let mut pruned = PrunedBloomSampleTree::build(&plan, &occ);
-                pruned.set_journal_cap(self.cfg.journal_cap);
-                TreeBackend::pruned(pruned)
+                TreeBackend::pruned(PrunedBloomSampleTree::build(&plan, &occ))
             }
         };
         let store = BstStore::new(Arc::clone(tree.hasher()), tree.namespace());
@@ -387,11 +311,6 @@ impl BstSystem {
     /// [`Query`] operation on this system reports into.
     pub fn set_recorder(&self, recorder: Option<std::sync::Arc<dyn bst_obs::Recorder>>) {
         self.shared.tracer.set_recorder(recorder);
-    }
-
-    /// The sampler configuration.
-    pub fn sampler_config(&self) -> SamplerConfig {
-        self.shared.cfg.sampler
     }
 
     /// Stores a key set as a query Bloom filter compatible with the tree.
@@ -480,57 +399,6 @@ impl BstSystem {
             .map(|w| (w, generation))
     }
 
-    /// Draws one sample per query filter, in parallel over `threads`
-    /// worker threads (0 = one per CPU). Results align with `filters`;
-    /// each entry carries its own typed failure reason. Deterministic for
-    /// a fixed `seed`, thread count and filter order.
-    pub fn query_batch(
-        &self,
-        filters: &[BloomFilter],
-        seed: u64,
-        threads: usize,
-    ) -> (Vec<Result<u64, BstError>>, OpStats) {
-        let view = self.shared.tree.read();
-        multiquery::sample_each(&view, filters, self.shared.cfg.sampler, seed, threads)
-    }
-
-    /// [`Self::query_batch`] addressed by store id: projects each stored
-    /// set once, then samples the batch in parallel. Results align with
-    /// `ids`; an unknown/dropped id yields `Err(UnknownFilterId)` for its
-    /// slot without failing the rest of the batch.
-    pub fn query_batch_ids(
-        &self,
-        ids: &[FilterId],
-        seed: u64,
-        threads: usize,
-    ) -> (Vec<Result<u64, BstError>>, OpStats) {
-        // Project once, moving each Ok filter into the sampling batch and
-        // keeping only the Ok/Err skeleton for realignment afterwards.
-        let mut filters = Vec::with_capacity(ids.len());
-        let slots: Vec<Result<(), BstError>> = ids
-            .iter()
-            .map(|&id| self.shared.store.get(id).map(|f| filters.push(f)))
-            .collect();
-        let view = self.shared.tree.read();
-        let (sampled, stats) =
-            multiquery::sample_each(&view, &filters, self.shared.cfg.sampler, seed, threads);
-        drop(view);
-        let mut sampled = sampled.into_iter();
-        let results = slots
-            .into_iter()
-            .map(|r| match r {
-                Ok(()) => match sampled.next() {
-                    Some(s) => s,
-                    None => Err(BstError::InvalidConfig(
-                        "internal: batch produced fewer samples than projected filters",
-                    )),
-                },
-                Err(e) => Err(e),
-            })
-            .collect();
-        (results, stats)
-    }
-
     // ------------------------------------------------------------------
     // The store facade: D̄ as id-addressed mutable sets.
     // ------------------------------------------------------------------
@@ -598,7 +466,9 @@ impl BstSystem {
         buf.put_u8(persistence::VERSION);
         persistence::put_sampler_config(&mut buf, &self.shared.cfg.sampler);
         persistence::put_reconstruct_config(&mut buf, &self.shared.cfg.reconstruct);
-        buf.put_u32_le(self.shared.cfg.journal_cap.min(u32::MAX as usize) as u32);
+        // The v1 layout keeps a journal-cap slot; the cap is no longer
+        // configurable, so the slot always carries the default.
+        buf.put_u32_le(crate::pruned::DEFAULT_JOURNAL_CAP as u32);
         self.shared.tree.put_bytes(&mut buf);
         self.shared.store.put_bytes(&mut buf);
         buf.to_vec()
@@ -616,16 +486,15 @@ impl BstSystem {
         if bytes::Buf::remaining(&input) < 4 {
             return Err(BstError::Persist(PersistError::Truncated));
         }
-        let journal_cap = bytes::Buf::get_u32_le(&mut input) as usize;
+        let journal_cap = bytes::Buf::get_u32_le(&mut input);
         let cfg = BstConfig {
             sampler,
             reconstruct,
-            journal_cap,
         };
-        cfg.validate()
-            .map_err(|_| PersistError::Corrupt("snapshot configuration invalid"))?;
+        if journal_cap == 0 || cfg.validate().is_err() {
+            return Err(PersistError::Corrupt("snapshot configuration invalid").into());
+        }
         let tree = TreeBackend::get_bytes(&mut input)?;
-        tree.set_journal_cap(journal_cap);
         let store = BstStore::get_bytes(&mut input, Arc::clone(tree.hasher()), tree.namespace())?;
         if !input.is_empty() {
             return Err(BstError::Persist(PersistError::Corrupt(
@@ -796,7 +665,7 @@ mod tests {
         assert_eq!(sys.config().reconstruct, ReconstructConfig::paper());
         // Partial setters keep the rest of the config intact.
         let sys2 = BstSystem::builder(10_000)
-            .sampler(SamplerConfig::corrected())
+            .config(BstConfig::default().with_sampler(SamplerConfig::corrected()))
             .build();
         assert_eq!(sys2.config().sampler, SamplerConfig::corrected());
         assert_eq!(sys2.config().reconstruct, ReconstructConfig::default());
@@ -882,10 +751,6 @@ mod tests {
         for k in &keys {
             assert!(rec.binary_search(k).is_ok());
         }
-        // Batch surface too.
-        let filters = vec![f.clone(), f];
-        let (results, _) = sys.query_batch(&filters, 3, 2);
-        assert!(results.iter().all(|r| r.is_ok()));
     }
 
     #[test]
@@ -923,30 +788,6 @@ mod tests {
         sys.drop_set(id).expect("drop");
         assert_eq!(sys.query_id(id).err(), Some(BstError::UnknownFilterId(id)));
         assert!(sys.filters().is_empty());
-    }
-
-    #[test]
-    fn query_batch_ids_aligns_and_reports_unknown() {
-        let sys = BstSystem::builder(20_000).build();
-        let ids: Vec<_> = (0..6)
-            .map(|i| {
-                sys.create((0..40u64).map(|j| (i * 911 + j * 17) % 20_000))
-                    .expect("create")
-            })
-            .collect();
-        let dropped = ids[2];
-        sys.drop_set(dropped).expect("drop");
-        let (results, stats) = sys.query_batch_ids(&ids, 9, 3);
-        assert_eq!(results.len(), ids.len());
-        for (i, (id, r)) in ids.iter().zip(&results).enumerate() {
-            if *id == dropped {
-                assert_eq!(*r, Err(BstError::UnknownFilterId(dropped)));
-            } else {
-                let s = r.expect("sample");
-                assert!(sys.get(*id).expect("get").contains(s), "slot {i}");
-            }
-        }
-        assert!(stats.total_ops() > 0);
     }
 
     #[test]
@@ -1017,20 +858,5 @@ mod tests {
                 crate::persistence::PersistError::Corrupt(_)
             ))
         ));
-    }
-
-    #[test]
-    fn query_batch_serves_many_filters() {
-        let sys = BstSystem::builder(20_000).build();
-        let filters: Vec<_> = (0..12)
-            .map(|i| sys.store((0..40u64).map(|j| (i * 997 + j * 13) % 20_000)))
-            .collect();
-        let (results, stats) = sys.query_batch(&filters, 5, 3);
-        assert_eq!(results.len(), filters.len());
-        for (f, r) in filters.iter().zip(&results) {
-            let s = r.expect("sample for non-empty filter");
-            assert!(f.contains(s));
-        }
-        assert!(stats.total_ops() > 0);
     }
 }

@@ -9,15 +9,7 @@ use bst_core::store::FilterId;
 use parking_lot::Mutex;
 use rand::Rng;
 
-/// One shard's cached live-leaf weight, stamped with the generations it
-/// was computed at: valid while the shard handle still carries the same
-/// stamps *and* the store/tree have not moved past them.
-#[derive(Clone, Copy)]
-struct CachedWeight {
-    outcome: Result<u64, BstError>,
-    set_generation: u64,
-    tree_generation: u64,
-}
+use crate::weight_cache::CachedWeight;
 
 /// A query handle spanning every shard of a
 /// [`crate::system::ShardedBstSystem`]: one per-shard
@@ -45,7 +37,9 @@ pub struct ShardQuery {
     /// One core handle per shard, shard order.
     handles: Vec<Query>,
     /// Per-shard weight cache: a warm sample costs a staleness check per
-    /// shard instead of a per-shard counting walk.
+    /// shard instead of a per-shard counting walk. A cell is valid while
+    /// the shard handle still carries its stamps *and* the store/tree
+    /// have not moved past them.
     weight_cache: Mutex<Vec<Option<CachedWeight>>>,
 }
 
@@ -83,118 +77,59 @@ impl ShardQuery {
         &self.handles
     }
 
-    /// Per-shard live-leaf weights for the current filter/tree state,
-    /// with empty per-shard projections and empty shard trees counted as
-    /// 0. The second value is `Some(error)` when **no** shard produced a
-    /// usable evaluation, classified the way a single-tree system would:
-    /// `EmptyTree` only when **every** shard's tree is empty (the engine
-    /// holds no occupancy at all — a single tree would have no root),
-    /// `EmptyFilter` otherwise (some tree exists, so the filter side is
-    /// what failed). This is the one copy of the soft-error merge
-    /// policy: `reconstruct`/`reconstruct_range` delegate to it, and the
-    /// batch gather's `row_error` mirrors it cell-wise.
-    fn weights(&self) -> Result<(Vec<u64>, Option<BstError>), BstError> {
+    /// Per-shard live-leaf weight outcomes for the current filter/tree
+    /// state, shard order, served from the per-handle cache while its
+    /// stamps are current. Evaluation stops at the first hard error,
+    /// which [`merge_weights`] then reports.
+    fn outcomes(&self) -> Vec<Result<u64, BstError>> {
         let mut cache = self.weight_cache.lock();
-        let mut weights = Vec::with_capacity(self.handles.len());
-        let mut saw_ok = false;
-        let mut empty_trees = 0usize;
+        let mut outcomes = Vec::with_capacity(self.handles.len());
         for (slot, handle) in cache.iter_mut().zip(&self.handles) {
             // A cached weight is reusable only while the handle still
             // carries the stamps it was computed at AND nothing has moved
             // past them (staleness re-checks the store and the tree in
             // one lock acquisition).
             let cached = match slot {
-                Some(c) => {
-                    let (set_gen, tree_gen, stale) = handle.staleness()?;
-                    (c.set_generation == set_gen && c.tree_generation == tree_gen && !stale)
-                        .then_some(c.outcome)
-                }
+                Some(c) => match handle.staleness() {
+                    Ok((set_gen, tree_gen, stale)) => {
+                        (c.set_generation == set_gen && c.tree_generation == tree_gen && !stale)
+                            .then_some(c.outcome)
+                    }
+                    Err(e) => Some(Err(e)),
+                },
                 None => None,
             };
-            let outcome = match cached {
-                Some(outcome) => outcome,
-                None => {
-                    // The stamps come from live_weight's own state lock,
-                    // not re-read afterwards: a concurrent operation on
-                    // this handle can advance its stamps between the
-                    // computation and this point, and caching an old
-                    // weight under new stamps would pin it forever.
-                    let (outcome, set_generation, tree_generation) = handle.live_weight_stamped();
-                    match outcome {
-                        Ok(_) | Err(BstError::EmptyFilter) | Err(BstError::EmptyTree) => {
-                            *slot = Some(CachedWeight {
-                                outcome,
-                                set_generation,
-                                tree_generation,
-                            });
-                        }
-                        // Hard errors propagate below and are never
-                        // cached (their stamps are not meaningful).
-                        Err(_) => {}
-                    }
-                    outcome
+            let outcome = cached.unwrap_or_else(|| {
+                let (outcome, stamped) = weigh(handle);
+                if stamped.is_some() {
+                    *slot = stamped;
                 }
-            };
-            match outcome {
-                Ok(w) => {
-                    saw_ok = true;
-                    weights.push(w);
-                }
-                Err(BstError::EmptyFilter) => weights.push(0),
-                Err(BstError::EmptyTree) => {
-                    empty_trees += 1;
-                    weights.push(0);
-                }
-                Err(e) => return Err(e),
+                outcome
+            });
+            outcomes.push(outcome);
+            if !is_soft(&outcome) {
+                break;
             }
         }
-        let merged_error = if saw_ok {
-            None
-        } else if empty_trees == self.handles.len() {
-            Some(BstError::EmptyTree)
-        } else {
-            Some(BstError::EmptyFilter)
-        };
-        Ok((weights, merged_error))
+        outcomes
     }
 
     /// The total live-leaf weight across shards: exactly the number of
     /// elements [`Self::reconstruct`] would return.
     pub fn live_weight(&self) -> Result<u64, BstError> {
-        let (weights, merged_error) = self.weights()?;
-        if let Some(e) = merged_error {
-            return Err(e);
+        match merge_weights(&self.outcomes()) {
+            Err(BstError::NoLiveLeaf) => Ok(0),
+            merged => merged,
         }
-        Ok(weights.iter().sum())
     }
 
     /// Draws one near-uniform sample from the stored span: a shard
     /// proportional to its live-leaf weight, then a sample within it.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<u64, BstError> {
-        let (weights, merged_error) = self.weights()?;
-        if let Some(e) = merged_error {
-            return Err(e);
-        }
-        let total: u64 = weights.iter().sum();
-        if total == 0 {
-            return Err(BstError::NoLiveLeaf);
-        }
-        let mut pick = rng.gen_range(0..total);
-        let mut fallback = None;
-        for (handle, &w) in self.handles.iter().zip(&weights) {
-            if pick < w {
-                return handle.sample(rng);
-            }
-            if w > 0 {
-                fallback = Some(handle);
-            }
-            pick -= w;
-        }
-        // pick < total guarantees some shard matched above; if weights
-        // were raced to zero mid-iteration, fall back to the last live
-        // shard rather than panicking on the serving path.
-        match fallback {
-            Some(handle) => handle.sample(rng),
+        let outcomes = self.outcomes();
+        let total = merge_weights(&outcomes)?;
+        match pick_shard(&outcomes, rng.gen_range(0..total)) {
+            Some(shard) => self.handles[shard].sample(rng),
             None => Err(BstError::NoLiveLeaf),
         }
     }
@@ -210,18 +145,13 @@ impl ShardQuery {
         r: usize,
         rng: &mut R,
     ) -> Result<Vec<u64>, BstError> {
-        let (weights, merged_error) = self.weights()?;
-        if let Some(e) = merged_error {
-            return Err(e);
-        }
-        let total: u64 = weights.iter().sum();
-        if total == 0 {
-            return Err(BstError::NoLiveLeaf);
-        }
+        let outcomes = self.outcomes();
+        let total = merge_weights(&outcomes)?;
         let mut out = Vec::with_capacity(r);
         let mut remaining = r;
         let mut weight_left = total;
-        for (handle, &w) in self.handles.iter().zip(&weights) {
+        for (handle, outcome) in self.handles.iter().zip(outcomes) {
+            let w = outcome.unwrap_or(0);
             if remaining == 0 || weight_left == 0 {
                 break;
             }
@@ -261,11 +191,9 @@ impl ShardQuery {
         }
         if !saw_ok {
             // No shard contributed: classify through the one merge
-            // policy in `weights` (which also covers the transient case
-            // where a mutation landed between the loops).
-            if let (_, Some(e)) = self.weights()? {
-                return Err(e);
-            }
+            // policy (which also covers the transient case where a
+            // mutation landed between the loops).
+            self.live_weight()?;
         }
         Ok(out)
     }
@@ -298,9 +226,7 @@ impl ShardQuery {
             // engine via the one merge policy (a window over empty
             // shards on a live engine is Ok(vec![]), exactly like a
             // single tree whose root exists elsewhere).
-            if let (_, Some(e)) = self.weights()? {
-                return Err(e);
-            }
+            self.live_weight()?;
         }
         Ok(out)
     }
@@ -332,5 +258,125 @@ impl ShardQuery {
             total += handle.take_stats();
         }
         total
+    }
+}
+
+/// Whether a per-shard weight outcome is *soft*: a weight, or an empty
+/// projection/tree that merges as weight 0. Anything else is a hard
+/// error that fails the whole scatter-gather operation.
+fn is_soft(outcome: &Result<u64, BstError>) -> bool {
+    matches!(
+        outcome,
+        Ok(_) | Err(BstError::EmptyFilter) | Err(BstError::EmptyTree)
+    )
+}
+
+/// Weighs one shard handle: its live-leaf weight outcome plus, for soft
+/// outcomes, the stamped cell a weight cache may keep (hard errors carry
+/// no meaningful stamps and are never cached). The stamps come from the
+/// computation's own state lock, not re-read afterwards: a concurrent
+/// operation on the handle can advance them in between, and caching an
+/// old weight under new stamps would pin it forever.
+pub(crate) fn weigh(handle: &Query) -> (Result<u64, BstError>, Option<CachedWeight>) {
+    let (outcome, set_generation, tree_generation) = handle.live_weight_stamped();
+    let stamped = is_soft(&outcome).then_some(CachedWeight {
+        outcome,
+        set_generation,
+        tree_generation,
+    });
+    (outcome, stamped)
+}
+
+/// The one scatter-gather merge policy over per-shard live-leaf weight
+/// outcomes (shard order), shared by [`ShardQuery`] and the batch gather
+/// step. The first hard error in shard order wins. If no shard produced
+/// a weight, the error is classified the way a single-tree system would:
+/// `EmptyTree` only when **every** shard's tree is empty (the engine
+/// holds no occupancy at all — a single tree would have no root),
+/// `EmptyFilter` otherwise (some tree exists, so the filter side is what
+/// failed). A zero total is `NoLiveLeaf`.
+pub(crate) fn merge_weights(outcomes: &[Result<u64, BstError>]) -> Result<u64, BstError> {
+    let mut total = 0u64;
+    let mut saw_weight = false;
+    let mut empty_trees = 0usize;
+    for outcome in outcomes {
+        match *outcome {
+            Ok(w) => {
+                saw_weight = true;
+                total += w;
+            }
+            Err(BstError::EmptyFilter) => {}
+            Err(BstError::EmptyTree) => empty_trees += 1,
+            Err(e) => return Err(e),
+        }
+    }
+    if !saw_weight {
+        return Err(if empty_trees == outcomes.len() {
+            BstError::EmptyTree
+        } else {
+            BstError::EmptyFilter
+        });
+    }
+    if total == 0 {
+        return Err(BstError::NoLiveLeaf);
+    }
+    Ok(total)
+}
+
+/// Picks the shard a uniform `draw` in `0..total` lands on, each shard
+/// owning a run of draws as long as its weight (errors weigh 0). A draw
+/// past the total falls back to the last positive-weight shard, keeping
+/// the serving path panic-free if weights ever raced; `None` only when
+/// no shard has weight.
+pub(crate) fn pick_shard(outcomes: &[Result<u64, BstError>], mut draw: u64) -> Option<usize> {
+    let mut fallback = None;
+    for (shard, outcome) in outcomes.iter().enumerate() {
+        let w = outcome.unwrap_or(0);
+        if draw < w {
+            return Some(shard);
+        }
+        if w > 0 {
+            fallback = Some(shard);
+        }
+        draw -= w;
+    }
+    fallback
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bst_core::error::BstError::*;
+
+    #[test]
+    fn merge_weights_classifies_like_a_single_tree() {
+        assert_eq!(merge_weights(&[Ok(2), Err(EmptyFilter), Ok(3)]), Ok(5));
+        assert_eq!(merge_weights(&[Ok(0), Err(EmptyTree)]), Err(NoLiveLeaf));
+        assert_eq!(
+            merge_weights(&[Err(EmptyTree), Err(EmptyFilter)]),
+            Err(EmptyFilter)
+        );
+        assert_eq!(
+            merge_weights(&[Err(EmptyTree), Err(EmptyTree)]),
+            Err(EmptyTree)
+        );
+        // The first hard error in shard order wins over everything.
+        let ghost = UnknownFilterId(FilterId::from_raw(7));
+        assert_eq!(
+            merge_weights(&[Ok(4), Err(IncompatibleFilter), Err(ghost)]),
+            Err(IncompatibleFilter)
+        );
+    }
+
+    #[test]
+    fn pick_shard_walks_cumulative_weights() {
+        let outcomes = [Ok(2), Err(EmptyFilter), Ok(0), Ok(3)];
+        let picks: Vec<_> = (0..6).map(|draw| pick_shard(&outcomes, draw)).collect();
+        // Draw 5 is past the total: the last positive shard serves it.
+        assert_eq!(
+            picks,
+            [Some(0), Some(0), Some(3), Some(3), Some(3), Some(3)]
+        );
+        assert_eq!(pick_shard(&[Ok(0), Err(EmptyTree)], 0), None);
     }
 }

@@ -9,14 +9,14 @@ use bst_core::error::BstError;
 use bst_core::metrics::OpStats;
 use bst_core::persistence::{self, PersistError, ShardManifest};
 use bst_core::store::FilterId;
-use bst_core::system::{BstConfig, BstSystem};
+use bst_core::system::{BstConfig, BstSystem, BstSystemBuilder};
 use bst_obs::{AtomicHistogram, Counter, Recorder, Tracer};
 use bytes::{Buf, BufMut, BytesMut};
 use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::query::ShardQuery;
+use crate::query::{merge_weights, pick_shard, weigh, ShardQuery};
 use crate::weight_cache::{
     filter_content_hash, CachedWeight, SlotKey, WeightCache, WeightCacheStats,
 };
@@ -57,15 +57,10 @@ fn cell_seed(seed: u64, shard: u64, slot: u64) -> u64 {
 pub struct ShardedBstSystemBuilder {
     namespace: u64,
     shards: usize,
-    accuracy: f64,
-    expected_set_size: u64,
-    k: usize,
-    kind: HashKind,
-    seed: u64,
-    cfg: BstConfig,
-    depth_override: Option<u32>,
+    /// The per-shard builder every shard is cloned from; it owns the
+    /// shared defaults.
+    base: BstSystemBuilder,
     occupied: Option<Vec<u64>>,
-    weight_cache: bool,
 }
 
 impl ShardedBstSystemBuilder {
@@ -73,15 +68,8 @@ impl ShardedBstSystemBuilder {
         ShardedBstSystemBuilder {
             namespace,
             shards: 4,
-            accuracy: 0.9,
-            expected_set_size: 1000,
-            k: bst_bloom::params::DEFAULT_K,
-            kind: HashKind::Murmur3,
-            seed: 0,
-            cfg: BstConfig::default(),
-            depth_override: None,
+            base: BstSystem::builder(namespace),
             occupied: None,
-            weight_cache: true,
         }
     }
 
@@ -93,53 +81,43 @@ impl ShardedBstSystemBuilder {
 
     /// Target sampling accuracy in `(0, 1]` (drives the filter size `m`).
     pub fn accuracy(mut self, accuracy: f64) -> Self {
-        self.accuracy = accuracy;
+        self.base = self.base.accuracy(accuracy);
         self
     }
 
     /// Typical stored-set size the accuracy target refers to.
     pub fn expected_set_size(mut self, n: u64) -> Self {
-        self.expected_set_size = n;
+        self.base = self.base.expected_set_size(n);
         self
     }
 
     /// Number of hash functions (paper default: 3).
     pub fn hash_count(mut self, k: usize) -> Self {
-        self.k = k;
+        self.base = self.base.hash_count(k);
         self
     }
 
     /// Hash family shared by every shard.
     pub fn hash_kind(mut self, kind: HashKind) -> Self {
-        self.kind = kind;
+        self.base = self.base.hash_kind(kind);
         self
     }
 
     /// Seed for the shared hash family.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.base = self.base.seed(seed);
         self
     }
 
     /// The full behaviour configuration (sampler + reconstructor).
     pub fn config(mut self, cfg: BstConfig) -> Self {
-        self.cfg = cfg;
+        self.base = self.base.config(cfg);
         self
     }
 
     /// Pins the tree depth instead of deriving it from the cost model.
     pub fn depth(mut self, depth: u32) -> Self {
-        self.depth_override = Some(depth);
-        self
-    }
-
-    /// Enables or bypasses the engine-level persistent weight cache the
-    /// batch entry points consult (default: enabled). Bypass exists for
-    /// A/B measurement and for pinning cached ≡ uncached outputs in
-    /// tests; it can also be toggled later with
-    /// [`ShardedBstSystem::set_weight_cache`].
-    pub fn weight_cache(mut self, enabled: bool) -> Self {
-        self.weight_cache = enabled;
+        self.base = self.base.depth(depth);
         self
     }
 
@@ -196,20 +174,9 @@ impl ShardedBstSystemBuilder {
             // Index walk over the intact sorted vec: draining per shard
             // would memmove the tail once per shard, O(M·S).
             let cut = start + occupied[start..].partition_point(|&x| x < boundaries[s + 1]);
-            let mine: Vec<u64> = occupied[start..cut].to_vec();
+            let mine = occupied[start..cut].iter().copied();
             start = cut;
-            let mut builder = BstSystem::builder(self.namespace)
-                .accuracy(self.accuracy)
-                .expected_set_size(self.expected_set_size)
-                .hash_count(self.k)
-                .hash_kind(self.kind)
-                .seed(self.seed)
-                .config(self.cfg)
-                .pruned(mine);
-            if let Some(d) = self.depth_override {
-                builder = builder.depth(d);
-            }
-            shards.push(builder.try_build()?);
+            shards.push(self.base.clone().pruned(mine).try_build()?);
         }
         let shard_count = shards.len();
         Ok(ShardedBstSystem {
@@ -220,7 +187,7 @@ impl ShardedBstSystemBuilder {
                     next_id: 0,
                     map: BTreeMap::new(),
                 }),
-                weight_cache: WeightCache::new(shard_count, self.weight_cache),
+                weight_cache: WeightCache::new(shard_count),
                 tracer: Tracer::disabled(),
                 batch_obs: RwLock::new(None),
             }),
@@ -516,31 +483,24 @@ impl ShardedBstSystem {
     // ------------------------------------------------------------------
 
     /// Whether the engine-level persistent weight cache is enabled (the
-    /// builder default; see
-    /// [`ShardedBstSystemBuilder::weight_cache`]).
+    /// default; see [`Self::set_weight_cache`]).
     pub fn weight_cache_enabled(&self) -> bool {
         self.shared.weight_cache.enabled()
     }
 
     /// Enables or bypasses the persistent weight cache at runtime.
-    /// Disabling also clears it, so batches after a later re-enable
-    /// start cold — and bypassed batches always produce exactly what
-    /// cached ones would, since cached weights equal recomputed ones
-    /// (pinned in `tests/e2e_shard.rs`).
+    /// Disabling also clears it and resets its effectiveness counters,
+    /// so batches after a later re-enable start cold — and bypassed
+    /// batches always produce exactly what cached ones would, since
+    /// cached weights equal recomputed ones (pinned in
+    /// `tests/e2e_shard.rs`). Bypass exists for A/B measurement and for
+    /// pinning cached ≡ uncached outputs in tests.
     pub fn set_weight_cache(&self, enabled: bool) {
         self.shared.weight_cache.set_enabled(enabled);
     }
 
-    /// Drops every cached weight and resets the effectiveness counters;
-    /// the next batch re-weighs all its cells. Never required for
-    /// correctness (staleness is stamp-checked on every probe) — this
-    /// exists for measurement and tests.
-    pub fn clear_weight_cache(&self) {
-        self.shared.weight_cache.clear();
-    }
-
     /// Hit/miss/repair counters of the persistent weight cache since
-    /// construction or the last clear — a warm repeated batch shows
+    /// construction or the last bypass — a warm repeated batch shows
     /// `S × slots` new hits and no new misses.
     pub fn weight_cache_stats(&self) -> WeightCacheStats {
         self.shared.weight_cache.stats()
@@ -549,8 +509,8 @@ impl ShardedBstSystem {
     /// Clones of the weight cache's `(hits, misses, repairs)` counter
     /// handles, for registration on a [`bst_obs::MetricsRegistry`].
     /// They share cells with the cache itself, so registered series and
-    /// [`Self::weight_cache_stats`] always agree — including across a
-    /// [`Self::clear_weight_cache`] reset.
+    /// [`Self::weight_cache_stats`] always agree — including across the
+    /// reset a [`Self::set_weight_cache`] bypass performs.
     pub fn weight_cache_counters(&self) -> (Counter, Counter, Counter) {
         self.shared.weight_cache.counters()
     }
@@ -765,21 +725,22 @@ impl ShardedBstSystem {
 
         // Phase 0: probe the persistent cache, one slot (= all S of its
         // cells) per call so the entry lookup and the ad-hoc collision
-        // guard are paid once per slot. Cell index c = shard * slots +
-        // slot. Hits carry no handle (phase 2 opens one if the cell is
-        // chosen); misses are collected for weighing.
+        // guard are paid once per slot. The grid is slot-major (cell
+        // c = slot * S + shard), so a slot's outcomes form one slice; a
+        // cell's outcome is its weight outcome, with dead and zero-weight
+        // cells as Ok(0). Hits carry no handle (phase 2 opens one if the
+        // cell is chosen); misses are collected for weighing.
         let cache = &self.shared.weight_cache;
         let shards = &self.shared.shards;
-        let mut grid: Vec<WeighedCell> = (0..cells)
-            .map(|_| WeighedCell::dead(BstError::NoLiveLeaf))
-            .collect();
+        let mut outcomes: Vec<Result<u64, BstError>> = vec![Ok(0); cells];
+        let mut warmed: Vec<Option<bst_core::query::Query>> = (0..cells).map(|_| None).collect();
         let mut missing: Vec<usize> = Vec::new();
         for (slot, key) in keys.iter().enumerate() {
             let served = key.as_ref().map(|key| cache.probe_slot(shards, key));
             for shard in 0..shard_count {
-                let cell = shard * slots + slot;
+                let cell = slot * shard_count + shard;
                 match served.as_ref().and_then(|row| row[shard]) {
-                    Some(outcome) => grid[cell] = WeighedCell::cached(outcome),
+                    Some(outcome) => outcomes[cell] = outcome,
                     None => missing.push(cell),
                 }
             }
@@ -791,7 +752,7 @@ impl ShardedBstSystem {
         if !missing.is_empty() {
             let weigh_workers = workers.min(missing.len());
             let chunk = missing.len().div_ceil(weigh_workers);
-            type WeighedPart = Vec<(usize, WeighedCell, Option<CachedWeight>)>;
+            type WeighedPart = Vec<(usize, WeighedCell)>;
             let mut weighed: Vec<(usize, WeighedPart, OpStats)> = crossbeam::scope(|scope| {
                 let mut handles = Vec::new();
                 for (w, batch) in missing.chunks(chunk).enumerate() {
@@ -800,10 +761,9 @@ impl ShardedBstSystem {
                         let mut stats = OpStats::new();
                         let mut part = Vec::with_capacity(batch.len());
                         for &cell in batch {
-                            let (shard, slot) = (cell / slots, cell % slots);
-                            let (weighed, stamped) =
-                                weigh_cell(open(shard, &shards[shard], slot), &mut stats);
-                            part.push((cell, weighed, stamped));
+                            let (slot, shard) = (cell / shard_count, cell % shard_count);
+                            let weighed = weigh_cell(open(shard, &shards[shard], slot), &mut stats);
+                            part.push((cell, weighed));
                         }
                         (w, part, stats)
                     }));
@@ -819,14 +779,15 @@ impl ShardedBstSystem {
             weighed.sort_by_key(|(w, _, _)| *w);
             for (_, part, worker_stats) in weighed {
                 stats += worker_stats;
-                for (cell, weighed_cell, stamped) in part {
-                    let (shard, slot) = (cell / slots, cell % slots);
+                for (cell, (outcome, handle, stamped)) in part {
+                    let (slot, shard) = (cell / shard_count, cell % shard_count);
                     // Write-back happens on the gather thread, keeping
                     // the weighing workers free of cache-lock traffic.
                     if let (Some(key), Some(stamped)) = (keys[slot].as_ref(), stamped) {
                         cache.fill(shard, key, stamped);
                     }
-                    grid[cell] = weighed_cell;
+                    outcomes[cell] = outcome;
+                    warmed[cell] = handle;
                 }
             }
         }
@@ -836,76 +797,27 @@ impl ShardedBstSystem {
             obs.weigh_us.record(t0.elapsed().as_secs_f64() * 1e6);
         }
 
-        // Gather: per slot, merge verdicts, total the weights and pick a
-        // shard. Chosen cells surrender their warm handle to phase 2
-        // (cache-hit cells have none; phase 2 opens one on demand).
+        // Gather: per slot, merge the outcomes and pick a shard with the
+        // same policy as the ShardQuery handle. Chosen cells surrender
+        // their warm handle to phase 2 (cache-hit cells have none; phase
+        // 2 opens one on demand).
         let mut results: Vec<Result<u64, BstError>> = Vec::with_capacity(slots);
         let mut chosen: Vec<(usize, usize, Option<bst_core::query::Query>)> = Vec::new();
-        'slots: for slot in 0..slots {
-            let mut total = 0u64;
-            let mut any_filter = false;
-            for shard in 0..shard_count {
-                let cell = &grid[shard * slots + slot];
-                // A weightless cell's verdict is its *evaluation*
-                // verdict. Hard verdicts (incompatible filter, dropped
-                // backing set, ...) propagate exactly like the
-                // ShardQuery handle path; Empty*/NoLiveLeaf are soft
-                // and merge below.
-                if cell.weight == 0 {
-                    match cell.verdict {
-                        Ok(())
-                        | Err(BstError::EmptyFilter)
-                        | Err(BstError::EmptyTree)
-                        | Err(BstError::NoLiveLeaf) => {}
-                        Err(e) => {
-                            results.push(Err(e));
-                            continue 'slots;
-                        }
-                    }
-                }
-                match cell.verdict {
-                    Err(BstError::EmptyFilter) | Err(BstError::EmptyTree) => {}
-                    _ => any_filter = true,
-                }
-                total += cell.weight;
-            }
-            if !any_filter {
-                results.push(column_error(&grid, slots, shard_count, slot));
-                continue;
-            }
-            if total == 0 {
-                results.push(Err(BstError::NoLiveLeaf));
-                continue;
-            }
-            let mut rng = StdRng::seed_from_u64(cell_seed(seed, u64::MAX, slot as u64));
-            let mut pick = rng.gen_range(0..total);
-            let mut fallback = None;
-            let mut hit = None;
-            for shard in 0..shard_count {
-                let cell = &grid[shard * slots + slot];
-                if pick < cell.weight {
-                    hit = Some(shard);
-                    break;
-                }
-                if cell.weight > 0 {
-                    fallback = Some(shard);
-                }
-                pick -= cell.weight;
-            }
-            // pick < total guarantees a hit; the fallback to the last
-            // positive-weight shard keeps the serving path panic-free
-            // even if that invariant were ever violated.
-            match hit.or(fallback) {
-                Some(shard) => {
-                    let cell = &mut grid[shard * slots + slot];
-                    chosen.push((slot, shard, cell.handle.take()));
+        for (slot, column) in outcomes.chunks(shard_count).enumerate() {
+            let picked = merge_weights(column).and_then(|total| {
+                let mut rng = StdRng::seed_from_u64(cell_seed(seed, u64::MAX, slot as u64));
+                pick_shard(column, rng.gen_range(0..total)).ok_or(BstError::NoLiveLeaf)
+            });
+            match picked {
+                Ok(shard) => {
+                    chosen.push((slot, shard, warmed[slot * shard_count + shard].take()));
                     // Placeholder; phase 2 overwrites it.
                     results.push(Err(BstError::NoLiveLeaf));
                 }
-                None => results.push(Err(BstError::NoLiveLeaf)),
+                Err(e) => results.push(Err(e)),
             }
         }
-        drop(grid); // non-chosen handles are done after weighing
+        drop(warmed); // non-chosen handles are done after weighing
 
         // Phase 2: sample only the chosen cells, on the pool again. Each
         // cell's RNG stream depends on its (shard, slot) coordinates
@@ -1129,6 +1041,11 @@ impl ShardedBstSystem {
                     "shards disagree on the tree plan",
                 )));
             }
+            if shards.iter().any(|s| s.config() != first.config()) {
+                return Err(BstError::Persist(PersistError::Corrupt(
+                    "shards disagree on the configuration",
+                )));
+            }
         }
         let mut map = BTreeMap::new();
         for (id, raw_fids) in manifest.entries {
@@ -1152,8 +1069,8 @@ impl ShardedBstSystem {
                     map,
                 }),
                 // The cache is derived state and never persisted; a
-                // restored engine starts cold with the default policy.
-                weight_cache: WeightCache::new(shard_count, true),
+                // restored engine starts cold and enabled.
+                weight_cache: WeightCache::new(shard_count),
                 // Observability wiring is process state, not snapshot
                 // state: the installer re-attaches after a restore.
                 tracer: Tracer::disabled(),
@@ -1166,102 +1083,32 @@ impl ShardedBstSystem {
 /// One phase-2 outcome: `(slot, sample, stats drained from the handle)`.
 type SampledSlot = (usize, Result<u64, BstError>, OpStats);
 
-/// One phase-1 (shard, slot) evaluation: the shard's live-leaf weight
-/// for the slot, the evaluation verdict, and — for freshly weighed
-/// cells — the warmed handle phase 2 samples from (cache-hit cells
-/// carry none and open one lazily if chosen).
-struct WeighedCell {
-    weight: u64,
-    verdict: Result<(), BstError>,
-    handle: Option<bst_core::query::Query>,
-}
+/// One phase-1 cell: `(weight outcome, warmed handle, stamped cache cell)`.
+type WeighedCell = (
+    Result<u64, BstError>,
+    Option<bst_core::query::Query>,
+    Option<CachedWeight>,
+);
 
-impl WeighedCell {
-    fn dead(err: BstError) -> Self {
-        WeighedCell {
-            weight: 0,
-            verdict: Err(err),
-            handle: None,
-        }
-    }
-
-    /// A cell served from the persistent weight cache: the same
-    /// weight/verdict classification as a fresh weigh, minus the handle.
-    fn cached(outcome: Result<u64, BstError>) -> Self {
-        match outcome {
-            Ok(0) => WeighedCell::dead(BstError::NoLiveLeaf),
-            Ok(weight) => WeighedCell {
-                weight,
-                verdict: Ok(()),
-                handle: None,
-            },
-            Err(e) => WeighedCell::dead(e),
-        }
-    }
-}
-
-/// Weighs one (shard, slot) cell — phase 1 does **no** sampling.
-/// Weightless shards carry `NoLiveLeaf` (never chosen by the gather
-/// step); empty per-shard projections and empty shard trees count as
-/// weight 0. The second value is the stamped outcome for the weight
-/// cache: soft outcomes only (hard errors carry no meaningful stamps),
-/// read under the computation's own state lock so the stamps name
-/// exactly the state the weight reflects.
+/// Weighs one (shard, slot) cell — phase 1 does **no** sampling. Returns
+/// the cell's weight outcome (a dead slot weighs `Ok(0)`; slot-level
+/// errors such as unknown sharded ids are patched in by the caller), the
+/// warmed handle phase 2 samples from if the cell is chosen, and the
+/// stamped cell for the weight cache.
 fn weigh_cell(
     handle: Result<Option<bst_core::query::Query>, BstError>,
     stats: &mut OpStats,
-) -> (WeighedCell, Option<CachedWeight>) {
-    let handle = match handle {
+) -> WeighedCell {
+    match handle {
         // A hard per-shard open failure: the gather step propagates it.
-        Err(e) => return (WeighedCell::dead(e), None),
-        // Dead slot on this shard; slot-level errors are patched in by
-        // the caller (e.g. unknown sharded ids).
-        Ok(None) => return (WeighedCell::dead(BstError::NoLiveLeaf), None),
-        Ok(Some(handle)) => handle,
-    };
-    let (outcome, set_generation, tree_generation) = handle.live_weight_stamped();
-    *stats += handle.take_stats();
-    let stamped = match outcome {
-        Ok(_) | Err(BstError::EmptyFilter) | Err(BstError::EmptyTree) => Some(CachedWeight {
-            outcome,
-            set_generation,
-            tree_generation,
-        }),
-        Err(_) => None,
-    };
-    let cell = match outcome {
-        Ok(0) => WeighedCell::dead(BstError::NoLiveLeaf),
-        Ok(weight) => WeighedCell {
-            weight,
-            verdict: Ok(()),
-            handle: Some(handle),
-        },
-        // EmptyTree/EmptyFilter stay as the cell's verdict (weight 0):
-        // the gather step classifies them exactly like
-        // ShardQuery::weights, so batch slots and handle calls report
-        // the same typed error.
-        Err(e) => WeighedCell::dead(e),
-    };
-    (cell, stamped)
-}
-
-/// The slot error when no shard saw a usable filter — the same merge
-/// policy as `ShardQuery::weights`: `EmptyTree` only when **every**
-/// shard's tree is empty (the engine holds no occupancy, like a rootless
-/// single tree), `EmptyFilter` otherwise.
-fn column_error(
-    grid: &[WeighedCell],
-    slots: usize,
-    shard_count: usize,
-    slot: usize,
-) -> Result<u64, BstError> {
-    let all_empty_trees = (0..shard_count)
-        .all(|shard| matches!(grid[shard * slots + slot].verdict, Err(BstError::EmptyTree)));
-    Err(if all_empty_trees {
-        BstError::EmptyTree
-    } else {
-        BstError::EmptyFilter
-    })
+        Err(e) => (Err(e), None, None),
+        Ok(None) => (Ok(0), None, None),
+        Ok(Some(handle)) => {
+            let (outcome, stamped) = weigh(&handle);
+            *stats += handle.take_stats();
+            (outcome, Some(handle), stamped)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1439,6 +1286,49 @@ mod tests {
             Some(BstError::UnknownFilterId(ghost))
         );
         assert_eq!(sys.drop_set(ghost), Err(BstError::UnknownFilterId(ghost)));
+
+        // The batch path types each failing slot exactly as a handle on
+        // the same target does, and still serves the other slots.
+        let foreign = ShardedBstSystem::builder(8_192)
+            .shards(2)
+            .expected_set_size(200)
+            .seed(10)
+            .build()
+            .store([1u64, 2, 3]);
+        let keys = |i: u64| (0..40u64).map(move |j| (i * 631 + j * 29) % 8_192);
+        let filters = vec![empty, sys.store(keys(0)), foreign, sys.store(keys(1))];
+        let (results, _) = sys.query_batch(&filters, 3, 2);
+        let dropped = sys.create(keys(2)).expect("create");
+        sys.drop_set(dropped).expect("drop");
+        let ids = [
+            sys.create(keys(3)).expect("create"),
+            sys.create(std::iter::empty()).expect("create"),
+            dropped,
+        ];
+        let (by_id, _) = sys.query_batch_ids(&ids, 3, 2);
+        let mut handle_sample =
+            |q: Result<ShardQuery, BstError>| q.and_then(|q| q.sample(&mut rng)).err();
+        for (slot, expected) in [
+            (0, BstError::EmptyFilter),
+            (2, BstError::IncompatibleFilter),
+        ] {
+            assert_eq!(results[slot], Err(expected));
+            assert_eq!(handle_sample(Ok(sys.query(&filters[slot]))), Some(expected));
+        }
+        for (slot, expected) in [
+            (1, BstError::EmptyFilter),
+            (2, BstError::UnknownFilterId(dropped)),
+        ] {
+            assert_eq!(by_id[slot], Err(expected));
+            assert_eq!(handle_sample(sys.query_id(ids[slot])), Some(expected));
+        }
+        for (filter, slot) in [(&filters[1], results[1]), (&filters[3], results[3])] {
+            assert!(filter.contains(slot.expect("sample")));
+        }
+        assert!(sys
+            .get(ids[0])
+            .expect("get")
+            .contains(by_id[0].expect("sample")));
     }
 
     #[test]
@@ -1676,6 +1566,38 @@ mod tests {
             )))
         );
         // The untouched snapshot still restores.
+        assert!(ShardedBstSystem::from_bytes(&bytes).is_ok());
+    }
+
+    #[test]
+    fn snapshot_rejects_shards_with_different_configs() {
+        // Same plan, different behaviour configs: a default engine's
+        // snapshot with shard 1's payload spliced in from a corrected
+        // engine would sample shard 1 under another rule than the
+        // config() the restored engine reports.
+        let build = |cfg| {
+            ShardedBstSystem::builder(4_096)
+                .shards(2)
+                .expected_set_size(50)
+                .config(cfg)
+                .build()
+        };
+        let default = build(BstConfig::default());
+        let corrected = build(BstConfig::corrected());
+        let bytes = default.to_bytes();
+        // "BSTH" v | manifest (no sets: 40 bytes) | len u64 | payload, ×S.
+        let mut spliced = bytes[..5 + 40].to_vec();
+        for sys in [&default.shard_systems()[0], &corrected.shard_systems()[1]] {
+            let payload = sys.to_bytes();
+            spliced.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            spliced.extend_from_slice(&payload);
+        }
+        assert_eq!(
+            ShardedBstSystem::from_bytes(&spliced).err(),
+            Some(BstError::Persist(PersistError::Corrupt(
+                "shards disagree on the configuration"
+            )))
+        );
         assert!(ShardedBstSystem::from_bytes(&bytes).is_ok());
     }
 

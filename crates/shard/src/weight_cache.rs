@@ -188,10 +188,11 @@ pub(crate) struct WeightCache {
 }
 
 impl WeightCache {
-    pub(crate) fn new(shards: usize, enabled: bool) -> Self {
+    /// An empty, enabled cache over `shards` shards.
+    pub(crate) fn new(shards: usize) -> Self {
         WeightCache {
             shards,
-            enabled: AtomicBool::new(enabled),
+            enabled: AtomicBool::new(true),
             stored: RwLock::new(StoredSide::default()),
             adhoc: RwLock::new(AdhocSide {
                 map: HashMap::new(),
@@ -207,18 +208,15 @@ impl WeightCache {
         self.enabled.load(Ordering::Acquire)
     }
 
-    /// Runtime toggle; disabling also clears (a bypassed cache must not
-    /// serve pre-toggle state when re-enabled later).
+    /// Runtime toggle. Disabling also empties the cache and resets the
+    /// effectiveness counters (a bypassed cache must not serve
+    /// pre-toggle state when re-enabled later); retired-id tombstones
+    /// survive, so a dropped set stays dropped.
     pub(crate) fn set_enabled(&self, enabled: bool) {
         self.enabled.store(enabled, Ordering::Release);
-        if !enabled {
-            self.clear();
+        if enabled {
+            return;
         }
-    }
-
-    /// Empties the cache and resets the effectiveness counters.
-    /// Retired-id tombstones survive: a dropped set stays dropped.
-    pub(crate) fn clear(&self) {
         self.stored.write().map.clear();
         let mut adhoc = self.adhoc.write();
         adhoc.map.clear();
@@ -487,7 +485,7 @@ mod tests {
     #[test]
     fn probe_miss_fill_hit_roundtrip() {
         let sys = system();
-        let cache = WeightCache::new(1, true);
+        let cache = WeightCache::new(1);
         let filter = sys.store((0..100u64).map(|i| i * 2 % 4_096));
         let key = SlotKey::Adhoc {
             hash: filter_content_hash(&filter),
@@ -512,7 +510,7 @@ mod tests {
     #[test]
     fn tree_mutation_repairs_instead_of_missing() {
         let sys = system();
-        let cache = WeightCache::new(1, true);
+        let cache = WeightCache::new(1);
         let keys: Vec<u64> = (0..100u64).map(|i| i * 2 % 4_096).collect();
         let filter = sys.store(keys.iter().copied().chain([1u64]));
         let key = SlotKey::Adhoc {
@@ -545,7 +543,7 @@ mod tests {
     #[test]
     fn disabled_cache_never_serves() {
         let sys = system();
-        let cache = WeightCache::new(1, true);
+        let cache = WeightCache::new(1);
         let filter = sys.store([2u64, 4, 6]);
         let key = SlotKey::Adhoc {
             hash: filter_content_hash(&filter),
@@ -573,7 +571,7 @@ mod tests {
 
     #[test]
     fn late_fill_cannot_resurrect_a_retired_stored_entry() {
-        let cache = WeightCache::new(2, true);
+        let cache = WeightCache::new(2);
         let fids = [FilterId::from_raw(0), FilterId::from_raw(1)];
         let key = SlotKey::Stored {
             raw: 9,
@@ -593,8 +591,10 @@ mod tests {
         // or the unreachable entry would leak for the engine's lifetime.
         cache.fill(1, &key, cell);
         assert!(cache.stored_cells(9).is_none(), "retired id resurrected");
-        // Clearing keeps the tombstone: a dropped set stays dropped.
-        cache.clear();
+        // Clearing (a bypass round trip) keeps the tombstone: a dropped
+        // set stays dropped.
+        cache.set_enabled(false);
+        cache.set_enabled(true);
         cache.fill(1, &key, cell);
         assert!(cache.stored_cells(9).is_none());
     }
@@ -602,7 +602,7 @@ mod tests {
     #[test]
     fn adhoc_interning_is_bounded_fifo() {
         let sys = system();
-        let cache = WeightCache::new(1, true);
+        let cache = WeightCache::new(1);
         let cell = CachedWeight {
             outcome: Ok(1),
             set_generation: 0,

@@ -149,14 +149,15 @@ proptest! {
     ) {
         let occ: Vec<u64> = occupied.iter().copied().collect();
         let build = |cache: bool| {
-            ShardedBstSystem::builder(2_048)
+            let engine = ShardedBstSystem::builder(2_048)
                 .shards(shards)
                 .expected_set_size(64)
                 .seed(27)
                 .hash_kind(kind)
                 .occupied(occ.iter().copied())
-                .weight_cache(cache)
-                .build()
+                .build();
+            engine.set_weight_cache(cache);
+            engine
         };
         let cached = build(true);
         let bypass = build(false);

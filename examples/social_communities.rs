@@ -18,7 +18,7 @@
 //!
 //! Run with: `cargo run --release --example social_communities`
 
-use bloomsampletree::{BstSystem, FilterId};
+use bloomsampletree::{BstSystem, FilterId, OpStats};
 use bst_workloads::occupancy::clustered_occupancy;
 use bst_workloads::social::{SocialConfig, SocialStream};
 use rand::rngs::StdRng;
@@ -78,10 +78,19 @@ fn main() {
         audiences.iter().map(Vec::len).max().unwrap()
     );
 
-    // Ad targeting: one random member of each audience, batched across
-    // worker threads, addressed by id.
+    // Ad targeting: one random member of each audience, addressed by id.
     let t2 = Instant::now();
-    let (picks, stats) = system.query_batch_ids(&ids, 7, 0);
+    let mut target_rng = StdRng::seed_from_u64(7);
+    let mut stats = OpStats::new();
+    let picks: Vec<_> = ids
+        .iter()
+        .map(|&id| {
+            let query = system.query_id(id).expect("open handle");
+            let pick = query.sample(&mut target_rng);
+            stats += query.take_stats();
+            pick
+        })
+        .collect();
     let hit = picks
         .iter()
         .zip(&audiences)
@@ -93,7 +102,7 @@ fn main() {
         hit,
         picks.len()
     );
-    println!("  batch cost: {stats}");
+    println!("  targeting cost: {stats}");
 
     // Campaign export: reconstruct one audience from its stored filter.
     let tag = 3usize;

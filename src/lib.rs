@@ -97,17 +97,18 @@
 //! ## Serving many filters
 //!
 //! `BstSystem: Clone + Send + Sync` (an `Arc` bump), so worker threads
-//! share one tree; [`BstSystem::query_batch`] samples across a whole
-//! batch of filters in parallel ([`BstSystem::query_batch_ids`] is the
-//! id-addressed form). Sparse or dynamic-occupancy namespaces build the
-//! same system over a pruned backend with
+//! share one tree. Sparse or dynamic-occupancy namespaces build the same
+//! system over a pruned backend with
 //! [`builder(M).pruned(occupied)`](bst_core::system::BstSystemBuilder::pruned)
-//! and get the identical surface:
+//! and get the identical surface. Batches go through the sharded engine:
+//! [`ShardedBstSystem::query_batch`] samples across a whole batch of
+//! filters in parallel ([`ShardedBstSystem::query_batch_ids`] is the
+//! id-addressed form), and with `.shards(1)` that is one pruned tree:
 //!
 //! ```
-//! use bloomsampletree::BstSystem;
+//! use bloomsampletree::ShardedBstSystem;
 //!
-//! let system = BstSystem::builder(10_000).build();
+//! let system = ShardedBstSystem::builder(10_000).shards(1).build();
 //! let filters: Vec<_> = (0..8)
 //!     .map(|i| system.store((0..50u64).map(|j| (i * 997 + j * 11) % 10_000)))
 //!     .collect();

@@ -5,7 +5,8 @@
 //!   implementation: fixed-seed draws, live weights, and reconstruction
 //!   prefixes are pinned against values captured from the naive
 //!   per-bit scan before the kernel rewrite landed — single tree and
-//!   S = 16 sharded;
+//!   S = 16 sharded — and the S = 16 batch path's draws, typed-error
+//!   slots and `OpStats` are pinned the same way;
 //! * blocked-layout sampling is **statistically indistinguishable**
 //!   from classic-layout sampling over the same key set (χ² homogeneity
 //!   via `assert_homogeneous`, which prints the observed table on
@@ -304,4 +305,94 @@ fn blocked_sharded_s16_sampling_conforms_to_classic() {
         ks.statistic,
         ks.p_value
     );
+}
+
+/// Golden capture of the two-phase sharded batch path at S = 16, taken
+/// before the shard-merge rewrite: per-slot draws, typed-error slots and
+/// the merged `OpStats` of a cold batch, a warm repeat served from the
+/// weight cache, and the id-addressed entry point. The slots cover a
+/// full-span set, a set confined to the first two shards, an empty
+/// filter, a filter from another hash family and a set of unoccupied ids
+/// that only false positives can answer.
+#[test]
+fn sharded_batch_outputs_bit_identical_to_capture() {
+    use bloomsampletree::{BstError, FilterId};
+    let (_, _, members) = scenario();
+    let golden = |seed| {
+        sharded_system(
+            HashKind::Murmur3,
+            16,
+            GOLDEN_ACCURACY,
+            GOLDEN_SET_SIZE,
+            seed,
+            BstConfig::default(),
+        )
+    };
+    let sharded = golden(GOLDEN_SEED);
+    let foreign = golden(GOLDEN_SEED + 1).store(members.iter().copied());
+    let mut filters = vec![
+        sharded.store(members.iter().copied()),
+        sharded.store((0..4096u64).filter(|x| x % 11 == 0)),
+        sharded.store(std::iter::empty()),
+        sharded.store((0..400u64).filter(|x| x % 5 == 0)),
+        foreign,
+        sharded.store((0..4096u64).step_by(3)),
+    ];
+    filters.extend((0..8u64).map(|i| sharded.store((0..4096u64).filter(|x| x % (13 + i) == i))));
+    let (cold, cold_stats) = sharded.query_batch(&filters, 2024, 3);
+    let (warm, warm_stats) = sharded.query_batch(&filters, 2024, 1);
+    let ids: Vec<FilterId> = (0..4u64)
+        .map(|i| {
+            sharded
+                .create((0..4096u64).filter(|x| x % (5 + i) == i))
+                .unwrap()
+        })
+        .chain([FilterId::from_raw(999)])
+        .collect();
+    sharded.drop_set(ids[2]).unwrap();
+    let (by_id, id_stats) = sharded.query_batch_ids(&ids, 2025, 2);
+    let stats = |s: bloomsampletree::OpStats| {
+        (
+            s.intersections,
+            s.memberships,
+            s.nodes_visited,
+            s.backtracks,
+        )
+    };
+    let expected = [
+        Ok(2455),
+        Ok(2354),
+        Err(BstError::EmptyFilter),
+        Ok(80),
+        Err(BstError::IncompatibleFilter),
+        Ok(643),
+        Ok(2275),
+        Ok(1751),
+        Ok(2282),
+        Ok(659),
+        Ok(1381),
+        Ok(1301),
+        Ok(2780),
+        Ok(347),
+    ];
+    assert_eq!(cold, expected, "cold batch draws changed");
+    assert_eq!(warm, expected, "warm batch draws changed");
+    assert_eq!(
+        stats(cold_stats),
+        (792, 32760, 612, 0),
+        "cold batch OpStats"
+    );
+    assert_eq!(stats(warm_stats), (24, 2048, 36, 0), "warm batch OpStats");
+    assert_eq!(
+        by_id,
+        [
+            Ok(4070),
+            Ok(877),
+            Err(BstError::UnknownFilterId(ids[2])),
+            Ok(1771),
+            Err(BstError::UnknownFilterId(ids[4])),
+        ],
+        "id-addressed batch draws changed"
+    );
+    assert_eq!(stats(id_stats), (198, 8190, 153, 0), "id batch OpStats");
 }

@@ -5,6 +5,7 @@
 use bloomsampletree::core::sampler::{BstSampler, Correction, SamplerConfig};
 use bloomsampletree::{
     BloomFilter, BstConfig, BstError, BstSystem, OpStats, PrunedBloomSampleTree, SampleTree,
+    ShardedBstSystem,
 };
 use bst_bloom::bitvec::BitVec;
 use rand::rngs::StdRng;
@@ -275,7 +276,12 @@ fn one_query_handle_shared_across_threads() {
 
 #[test]
 fn query_batch_end_to_end() {
-    let sys = system();
+    // Batches go through the sharded engine; at S = 1 that is one tree.
+    let sys = ShardedBstSystem::builder(50_000)
+        .shards(1)
+        .expected_set_size(400)
+        .seed(404)
+        .build();
     let mut filters: Vec<_> = (0..24)
         .map(|i| sys.store((0..60u64).map(|j| (i * 641 + j * 19) % 50_000)))
         .collect();

@@ -1,9 +1,8 @@
 //! End-to-end sampling: workload generators → filters → BloomSampleTree →
 //! sample quality, spanning all four crates.
 
-use bloomsampletree::core::multiquery::sample_each;
 use bloomsampletree::core::sampler::SamplerConfig;
-use bloomsampletree::{BstSampler, BstSystem, OpStats};
+use bloomsampletree::{BstSampler, BstSystem, OpStats, ShardedBstSystem};
 use bst_stats::chi2_uniform_test;
 use bst_workloads::querysets::{clustered_set, uniform_set};
 use rand::rngs::StdRng;
@@ -105,7 +104,10 @@ fn measured_accuracy_tracks_target() {
 
 #[test]
 fn batch_sampling_agrees_with_sequential() {
-    let system = BstSystem::builder(50_000).seed(7).build();
+    // The sharded batch path is thread-count-deterministic: a batch
+    // fanned out over four workers returns exactly what a single
+    // sequential worker returns, and every slot is a member of its set.
+    let system = ShardedBstSystem::builder(50_000).shards(4).seed(7).build();
     let mut rng = StdRng::seed_from_u64(8);
     let filters: Vec<_> = (0..16)
         .map(|i| {
@@ -113,23 +115,19 @@ fn batch_sampling_agrees_with_sequential() {
             system.store(keys)
         })
         .collect();
-    let (results, stats) = sample_each(
-        &system.tree().read(),
-        &filters,
-        SamplerConfig::default(),
-        11,
-        4,
-    );
-    assert_eq!(results.len(), filters.len());
-    for (filter, r) in filters.iter().zip(&results) {
+    let (sequential, stats) = system.query_batch(&filters, 11, 1);
+    assert_eq!(sequential.len(), filters.len());
+    for (filter, r) in filters.iter().zip(&sequential) {
         let s = r.expect("every filter yields a sample");
         assert!(filter.contains(s));
     }
     assert!(stats.memberships > 0);
-    // The facade-level batch entry point serves the same filters.
-    let (via_system, _) = system.query_batch(&filters, 11, 4);
-    for (filter, r) in filters.iter().zip(&via_system) {
-        assert!(filter.contains(r.expect("sample")));
+    let (parallel, _) = system.query_batch(&filters, 11, 4);
+    assert_eq!(parallel, sequential);
+    // Per-filter handles serve the same filters.
+    for filter in &filters {
+        let s = system.query(filter).sample(&mut rng).expect("sample");
+        assert!(filter.contains(s));
     }
 }
 
