@@ -11,7 +11,6 @@ use std::time::Instant;
 
 use bst_bloom::filter::BloomFilter;
 use bst_bloom::hash::BloomHasher;
-use bst_bloom::params::{depth_for, leaf_capacity_for_cost_ratio, leaf_size, TreePlan};
 
 /// Measured per-operation costs.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -70,18 +69,6 @@ impl CostModel {
             intersection_ns: intersection_ns.max(0.1),
         }
     }
-
-    /// Rewrites a plan's depth/leaf capacity from this cost model,
-    /// implementing the full §5.4 chain (`m` stays as planned).
-    pub fn retune_plan(&self, plan: &TreePlan) -> TreePlan {
-        let cap = leaf_capacity_for_cost_ratio(self.ratio());
-        let depth = depth_for(plan.namespace, cap);
-        TreePlan {
-            depth,
-            leaf_capacity: leaf_size(plan.namespace, depth),
-            ..plan.clone()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -125,29 +112,5 @@ mod tests {
             md5.membership_ns,
             mm.membership_ns
         );
-    }
-
-    #[test]
-    fn retune_preserves_m_and_namespace() {
-        let plan = TreePlan {
-            namespace: 1_000_000,
-            m: 60_870,
-            k: 3,
-            kind: HashKind::Murmur3,
-            seed: 0,
-            depth: 9,
-            leaf_capacity: 1954,
-            target_accuracy: 0.9,
-        };
-        let cm = CostModel {
-            membership_ns: 10.0,
-            intersection_ns: 1000.0,
-        };
-        let tuned = cm.retune_plan(&plan);
-        assert_eq!(tuned.m, plan.m);
-        assert_eq!(tuned.namespace, plan.namespace);
-        assert_eq!(tuned.leaf_capacity, leaf_size(plan.namespace, tuned.depth));
-        // ratio 100 -> capacity in [976, 1000) -> depth 10 for M=1e6.
-        assert_eq!(tuned.depth, 10);
     }
 }

@@ -1,6 +1,6 @@
 //! [`ShardedBstSystem`]: the partitioned engine and its builder.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use bst_bloom::filter::BloomFilter;
@@ -8,6 +8,7 @@ use bst_bloom::hash::HashKind;
 use bst_core::error::BstError;
 use bst_core::metrics::OpStats;
 use bst_core::persistence::{self, PersistError, ShardManifest};
+use bst_core::query::Query;
 use bst_core::store::FilterId;
 use bst_core::system::{BstConfig, BstSystem, BstSystemBuilder};
 use bst_obs::{AtomicHistogram, Counter, Recorder, Tracer};
@@ -41,6 +42,11 @@ pub fn shard_boundaries(namespace: u64, shards: usize) -> Vec<u64> {
     (0..=shards)
         .map(|i| ((i as u128 * namespace as u128) / shards as u128) as u64)
         .collect()
+}
+
+/// The machine's available parallelism (1 if unknown).
+fn cpu_count() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Mixes a batch seed with per-(shard, filter) coordinates so worker
@@ -190,6 +196,7 @@ impl ShardedBstSystemBuilder {
                 weight_cache: WeightCache::new(shard_count),
                 tracer: Tracer::disabled(),
                 batch_obs: RwLock::new(None),
+                cpus: cpu_count(),
             }),
         })
     }
@@ -244,6 +251,9 @@ struct Shared {
     tracer: Tracer,
     /// Batch phase metrics, absent until a serving layer installs them.
     batch_obs: RwLock<Option<Arc<BatchObs>>>,
+    /// Batch worker count for `threads == 0`, counted once per engine
+    /// (the CPU count reads cgroup files on every call).
+    cpus: usize,
 }
 
 /// A sharded BloomSampleTree engine over one namespace: `S` contiguous
@@ -596,19 +606,21 @@ impl ShardedBstSystem {
 
     /// Draws one sample per query filter via a **two-phase** scatter over
     /// a crossbeam worker pool (`threads` workers; 0 = one per CPU,
-    /// capped at the `shards × filters` cell count — so a low-shard
-    /// engine still spreads a wide batch across every requested worker).
-    /// Phase 1 consults the engine's **persistent weight cache** first
-    /// (each filter interned by content hash) and dispatches weighing
-    /// work only for missing or stale (shard, filter) cells — a warm
-    /// repeated batch over an unchanged filter population skips phase 1
-    /// entirely; the gather step picks one shard per filter
-    /// proportionally to the weights; phase 2 then samples **only the
-    /// chosen cells**, reusing any handles phase 1 warmed — ~S× less
-    /// sampling work than sampling speculatively on every shard. Results
-    /// align with `filters`; per-cell RNG seeding keeps the output
-    /// deterministic for a fixed `seed` regardless of `threads`, and
-    /// bit-identical whether weights came from the cache or a fresh walk.
+    /// counted once per engine; capped at the `shards × filters` cell
+    /// count — so a low-shard engine still spreads a wide batch across
+    /// every requested worker). Phase 1 consults the engine's
+    /// **persistent weight cache** first (each filter interned by content
+    /// hash) and dispatches weighing work only for missing or stale
+    /// (shard, filter) cells — a warm repeated batch over an unchanged
+    /// filter population skips phase 1 entirely; the gather step picks
+    /// one shard per filter proportionally to the weights; phase 2 then
+    /// samples **only the chosen cells**, reusing any handles phase 1
+    /// warmed (a cache-hit cell opens a fresh one: ad-hoc batches retain
+    /// no handles) — ~S× less sampling work than sampling speculatively
+    /// on every shard. Results align with `filters`; per-cell RNG
+    /// seeding keeps the output deterministic for a fixed `seed`
+    /// regardless of `threads`, and bit-identical whether weights came
+    /// from the cache or a fresh walk.
     pub fn query_batch(
         &self,
         filters: &[BloomFilter],
@@ -624,15 +636,23 @@ impl ShardedBstSystem {
                 })
             })
             .collect();
-        self.scatter_gather(filters.len(), seed, threads, &keys, |_, sys, slot| {
-            Ok(Some(sys.query(&filters[slot])))
-        })
+        let (results, stats, _) =
+            self.scatter_gather(filters.len(), seed, threads, &keys, |_, sys, slot| {
+                Ok(Some(sys.query(&filters[slot])))
+            });
+        (results, stats)
     }
 
     /// [`Self::query_batch`] addressed by sharded store id (weight-cache
     /// entries are keyed by the id itself — no filter hashing). An
     /// unknown/dropped id yields `Err(UnknownFilterId)` for its slot
     /// without failing the rest of the batch.
+    ///
+    /// The per-shard handles of the batch's stored slots are **retained
+    /// until the next id batch**, which samples its chosen cache-hit
+    /// cells from them instead of opening cold ones (see
+    /// [`crate::weight_cache`]). Draws are unchanged — a warm handle
+    /// draws exactly what a cold one would — only `OpStats` fall.
     pub fn query_batch_ids(
         &self,
         ids: &[FilterId],
@@ -656,7 +676,7 @@ impl ShardedBstSystem {
                 })
             })
             .collect();
-        let (mut results, stats) =
+        let (mut results, stats, handles) =
             self.scatter_gather(ids.len(), seed, threads, &keys, |shard, sys, slot| {
                 match backing[slot].as_ref() {
                     None => Ok(None),
@@ -671,6 +691,16 @@ impl ShardedBstSystem {
                 results[slot] = Err(BstError::UnknownFilterId(*id));
             }
         }
+        // Duplicate ids share the first slot's handle from here on.
+        let shard_count = self.shard_count();
+        let mut retained = HashMap::new();
+        for (cell, handle) in handles.into_iter().enumerate() {
+            if let Some(handle) = handle {
+                let key = (ids[cell / shard_count].raw(), cell % shard_count);
+                retained.entry(key).or_insert(handle);
+            }
+        }
+        self.shared.weight_cache.retain(retained);
         (results, stats)
     }
 
@@ -684,42 +714,45 @@ impl ShardedBstSystem {
     ///
     /// Phase 0 probes the weight cache for every (shard, slot) cell;
     /// hits (stamps current, possibly after a journal-repair delta) fill
-    /// their grid cell with no filter work at all. Phase 1 weighs only
-    /// the missing cells — no sampling — with the worker pool chunked
-    /// over the *miss list* of the flattened cell grid, so even an S=1
-    /// engine parallelises a wide cold batch, and a fully warm batch
-    /// spawns no weighing workers at all; fresh weights are written back
-    /// to the cache. The gather step merges errors and picks one shard
-    /// per slot from the weights; phase 2 samples only the chosen cells,
-    /// reusing the handles phase 1 warmed (cache-hit cells open theirs
-    /// cold — warm-equals-cold keeps the draw identical). Per-cell
+    /// their grid cell with no filter work at all, and a stored hit
+    /// takes the handle the last id batch retained for it, if any.
+    /// Phase 1 weighs only the missing cells — no sampling — with the
+    /// worker pool chunked over the *miss list* of the flattened cell
+    /// grid, so even an S=1 engine parallelises a wide cold batch, and a
+    /// fully warm batch spawns no weighing workers at all; fresh weights
+    /// are written back to the cache. The gather step merges errors and
+    /// picks one shard per slot from the weights; phase 2 samples only
+    /// the chosen cells, from the handle phase 0 or phase 1 left in the
+    /// cell, opening a fresh one only where there is none
+    /// (warm-equals-cold keeps the draw identical either way). Per-cell
     /// seeding makes the result identical to the old one-phase scatter
     /// for the same `seed`, independent of worker placement and of the
     /// cache state.
+    ///
+    /// Returns the results, the merged `OpStats` and the handle grid
+    /// (slot-major, `cell = slot * S + shard`), which holds every handle
+    /// the batch used for a stored slot, for
+    /// [`Self::query_batch_ids`] to retain.
     fn scatter_gather(
         &self,
         slots: usize,
         seed: u64,
         threads: usize,
         keys: &[Option<SlotKey<'_>>],
-        open: impl Fn(usize, &BstSystem, usize) -> Result<Option<bst_core::query::Query>, BstError>
-            + Sync,
-    ) -> (Vec<Result<u64, BstError>>, OpStats) {
+        open: impl Fn(usize, &BstSystem, usize) -> Result<Option<Query>, BstError> + Sync,
+    ) -> (Vec<Result<u64, BstError>>, OpStats, HandleGrid) {
         let shard_count = self.shard_count();
         if slots == 0 {
-            return (Vec::new(), OpStats::new());
+            return (Vec::new(), OpStats::new(), Vec::new());
         }
         // Observability: both reads are one uncontended lock/atomic each
         // and resolve to `None` until a serving layer installs sinks.
         let obs = self.shared.batch_obs.read().clone();
         let span = self.shared.tracer.start();
         let cells = shard_count * slots;
-        let workers = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            threads
+        let workers = match threads {
+            0 => self.shared.cpus,
+            n => n,
         }
         .clamp(1, cells);
 
@@ -728,19 +761,25 @@ impl ShardedBstSystem {
         // guard are paid once per slot. The grid is slot-major (cell
         // c = slot * S + shard), so a slot's outcomes form one slice; a
         // cell's outcome is its weight outcome, with dead and zero-weight
-        // cells as Ok(0). Hits carry no handle (phase 2 opens one if the
-        // cell is chosen); misses are collected for weighing.
+        // cells as Ok(0). A stored hit carries the handle the last id
+        // batch retained for it (if any); misses are collected for
+        // weighing.
         let cache = &self.shared.weight_cache;
         let shards = &self.shared.shards;
         let mut outcomes: Vec<Result<u64, BstError>> = vec![Ok(0); cells];
-        let mut warmed: Vec<Option<bst_core::query::Query>> = (0..cells).map(|_| None).collect();
+        let mut warmed: HandleGrid = vec![None; cells];
         let mut missing: Vec<usize> = Vec::new();
         for (slot, key) in keys.iter().enumerate() {
             let served = key.as_ref().map(|key| cache.probe_slot(shards, key));
             for shard in 0..shard_count {
                 let cell = slot * shard_count + shard;
                 match served.as_ref().and_then(|row| row[shard]) {
-                    Some(outcome) => outcomes[cell] = outcome,
+                    Some(outcome) => {
+                        outcomes[cell] = outcome;
+                        if let Some(SlotKey::Stored { raw, .. }) = key {
+                            warmed[cell] = cache.retained(*raw, shard);
+                        }
+                    }
                     None => missing.push(cell),
                 }
             }
@@ -798,68 +837,87 @@ impl ShardedBstSystem {
         }
 
         // Gather: per slot, merge the outcomes and pick a shard with the
-        // same policy as the ShardQuery handle. Chosen cells surrender
-        // their warm handle to phase 2 (cache-hit cells have none; phase
-        // 2 opens one on demand).
+        // same policy as the ShardQuery handle. Chosen cells hand their
+        // handle to phase 2 (a hit the last id batch retained nothing
+        // for has none; phase 2 opens one on demand). Only stored slots'
+        // handles outlive the gather; ad-hoc ones are done after
+        // weighing.
         let mut results: Vec<Result<u64, BstError>> = Vec::with_capacity(slots);
-        let mut chosen: Vec<(usize, usize, Option<bst_core::query::Query>)> = Vec::new();
+        let mut chosen: Vec<(usize, usize, Option<Arc<Query>>)> = Vec::new();
+        let mut retained_cells = 0u64;
         for (slot, column) in outcomes.chunks(shard_count).enumerate() {
+            let row = &mut warmed[slot * shard_count..(slot + 1) * shard_count];
             let picked = merge_weights(column).and_then(|total| {
                 let mut rng = StdRng::seed_from_u64(cell_seed(seed, u64::MAX, slot as u64));
                 pick_shard(column, rng.gen_range(0..total)).ok_or(BstError::NoLiveLeaf)
             });
             match picked {
                 Ok(shard) => {
-                    chosen.push((slot, shard, warmed[slot * shard_count + shard].take()));
+                    // A hit's handle can only have come from retention.
+                    let hit = missing
+                        .binary_search(&(slot * shard_count + shard))
+                        .is_err();
+                    if hit && row[shard].is_some() {
+                        retained_cells += 1;
+                    }
+                    chosen.push((slot, shard, row[shard].clone()));
                     // Placeholder; phase 2 overwrites it.
                     results.push(Err(BstError::NoLiveLeaf));
                 }
                 Err(e) => results.push(Err(e)),
             }
+            if !retains(&keys[slot]) {
+                row.fill(None);
+            }
         }
-        drop(warmed); // non-chosen handles are done after weighing
 
         // Phase 2: sample only the chosen cells, on the pool again. Each
         // cell's RNG stream depends on its (shard, slot) coordinates
-        // alone, so placement cannot change a draw — and a cache-hit
-        // cell's freshly opened handle draws exactly what a phase-1-
-        // warmed one would (warm-equals-cold).
+        // alone, so placement cannot change a draw — and a retained or
+        // freshly opened handle draws exactly what a phase-1-warmed one
+        // would (warm-equals-cold).
         let sample_started = obs.as_ref().map(|_| std::time::Instant::now());
         if !chosen.is_empty() {
             let workers = workers.min(chosen.len());
             let chunk = chosen.len().div_ceil(workers);
-            let sampled: Vec<Vec<SampledSlot>> = crossbeam::scope(|scope| {
+            let sampled: Vec<Vec<SampledCell>> = crossbeam::scope(|scope| {
                 let mut handles = Vec::new();
                 for batch in chosen.chunks(chunk) {
                     let open = &open;
                     handles.push(scope.spawn(move |_| {
                         batch
                             .iter()
-                            .map(|(slot, shard, handle)| {
+                            .map(|&(slot, shard, ref handle)| {
+                                let cell = slot * shard_count + shard;
                                 let mut rng = StdRng::seed_from_u64(cell_seed(
                                     seed,
-                                    *shard as u64,
-                                    *slot as u64,
+                                    shard as u64,
+                                    slot as u64,
                                 ));
-                                let mut sample_from = |handle: &bst_core::query::Query| {
-                                    let out = handle.sample(&mut rng);
-                                    (*slot, out, handle.take_stats())
-                                };
-                                match handle {
-                                    Some(handle) => sample_from(handle),
-                                    // Cache hit: open the handle now. A
-                                    // hard open failure (the backing set
-                                    // vanished mid-batch) is the slot's
-                                    // typed error, exactly as phase 1
-                                    // would have reported it.
-                                    None => match open(*shard, &shards[*shard], *slot) {
-                                        Ok(Some(handle)) => sample_from(&handle),
+                                // A hit with no handle opens one now. A
+                                // hard open failure (the backing set
+                                // vanished mid-batch) is the slot's typed
+                                // error, exactly as phase 1 would have
+                                // reported it.
+                                let (handle, opened) = match handle {
+                                    Some(handle) => (Arc::clone(handle), false),
+                                    None => match open(shard, &shards[shard], slot) {
+                                        Ok(Some(handle)) => (Arc::new(handle), true),
                                         Ok(None) => {
-                                            (*slot, Err(BstError::NoLiveLeaf), OpStats::new())
+                                            return (
+                                                cell,
+                                                Err(BstError::NoLiveLeaf),
+                                                OpStats::new(),
+                                                None,
+                                            )
                                         }
-                                        Err(e) => (*slot, Err(e), OpStats::new()),
+                                        Err(e) => return (cell, Err(e), OpStats::new(), None),
                                     },
-                                }
+                                };
+                                let out = handle.sample(&mut rng);
+                                let stats = handle.take_stats();
+                                let keep = opened && retains(&keys[slot]);
+                                (cell, out, stats, keep.then_some(handle))
                             })
                             .collect()
                     }));
@@ -872,9 +930,12 @@ impl ShardedBstSystem {
             })
             // bst-lint: allow(L001) — scope fails only if a child panicked; propagate
             .expect("crossbeam scope failed");
-            for (slot, out, sample_stats) in sampled.into_iter().flatten() {
-                results[slot] = out;
+            for (cell, out, sample_stats, opened) in sampled.into_iter().flatten() {
+                results[cell / shard_count] = out;
                 stats += sample_stats;
+                if opened.is_some() {
+                    warmed[cell] = opened;
+                }
             }
         }
         if let Some(obs) = obs.as_ref() {
@@ -890,11 +951,12 @@ impl ShardedBstSystem {
                 ("slots", slots as u64),
                 ("weighed_cells", missing.len() as u64),
                 ("sampled_cells", chosen.len() as u64),
+                ("retained_cells", retained_cells),
                 ("intersections", stats.intersections),
                 ("memberships", stats.memberships),
             ],
         );
-        (results, stats)
+        (results, stats, warmed)
     }
 
     // ------------------------------------------------------------------
@@ -1075,30 +1137,38 @@ impl ShardedBstSystem {
                 // state: the installer re-attaches after a restore.
                 tracer: Tracer::disabled(),
                 batch_obs: RwLock::new(None),
+                cpus: cpu_count(),
             }),
         })
     }
 }
 
-/// One phase-2 outcome: `(slot, sample, stats drained from the handle)`.
-type SampledSlot = (usize, Result<u64, BstError>, OpStats);
+/// A batch's per-cell handles, slot-major (`cell = slot * S + shard`).
+type HandleGrid = Vec<Option<Arc<Query>>>;
+
+/// One phase-2 outcome: `(cell, sample, stats drained from the handle,
+/// the handle phase 2 opened if the batch keeps it)`.
+type SampledCell = (usize, Result<u64, BstError>, OpStats, Option<Arc<Query>>);
 
 /// One phase-1 cell: `(weight outcome, warmed handle, stamped cache cell)`.
 type WeighedCell = (
     Result<u64, BstError>,
-    Option<bst_core::query::Query>,
+    Option<Arc<Query>>,
     Option<CachedWeight>,
 );
+
+/// Whether a slot's handles outlive its batch: only stored slots' do
+/// ([`ShardedBstSystem::query_batch_ids`] retains them).
+fn retains(key: &Option<SlotKey<'_>>) -> bool {
+    matches!(key, Some(SlotKey::Stored { .. }))
+}
 
 /// Weighs one (shard, slot) cell — phase 1 does **no** sampling. Returns
 /// the cell's weight outcome (a dead slot weighs `Ok(0)`; slot-level
 /// errors such as unknown sharded ids are patched in by the caller), the
 /// warmed handle phase 2 samples from if the cell is chosen, and the
 /// stamped cell for the weight cache.
-fn weigh_cell(
-    handle: Result<Option<bst_core::query::Query>, BstError>,
-    stats: &mut OpStats,
-) -> WeighedCell {
+fn weigh_cell(handle: Result<Option<Query>, BstError>, stats: &mut OpStats) -> WeighedCell {
     match handle {
         // A hard per-shard open failure: the gather step propagates it.
         Err(e) => (Err(e), None, None),
@@ -1106,7 +1176,7 @@ fn weigh_cell(
         Ok(Some(handle)) => {
             let (outcome, stamped) = weigh(&handle);
             *stats += handle.take_stats();
-            (outcome, Some(handle), stamped)
+            (outcome, Some(Arc::new(handle)), stamped)
         }
     }
 }
@@ -1802,6 +1872,7 @@ mod tests {
         assert_eq!(attr("slots"), 3);
         assert_eq!(attr("weighed_cells"), 12, "4 shards x 3 filters, cold");
         assert_eq!(attr("sampled_cells"), 3, "one chosen shard per slot");
+        assert_eq!(attr("retained_cells"), 0, "ad-hoc batches retain nothing");
 
         // Warm repeat: cache serves every weight, so no cells are
         // weighed, but the phase histogram still records the (near-zero)
@@ -1830,6 +1901,83 @@ mod tests {
         let _ = sys.query_batch(&filters, 7, 2);
         assert_eq!(ring.recorded_total(), before);
         assert_eq!(obs.batches.get(), 2);
+    }
+
+    #[test]
+    fn retained_handles_draw_what_the_bypass_draws() {
+        use bst_obs::RingRecorder;
+        let occupied: Vec<u64> = (0..8_192u64).filter(|x| x % 5 != 0).collect();
+        let build = || {
+            ShardedBstSystem::builder(8_192)
+                .shards(4)
+                .expected_set_size(200)
+                .seed(9)
+                .config(BstConfig::corrected())
+                .occupied(occupied.iter().copied())
+                .build()
+        };
+        let (warm, cold) = (build(), build());
+        cold.set_weight_cache(false);
+        let ring = Arc::new(RingRecorder::new(64));
+        warm.set_recorder(Some(ring.clone()));
+        let mut ids = Vec::new();
+        for i in 0..4u64 {
+            let keys: Vec<u64> = (0..8_192u64).filter(|x| x % (7 + i) == i).collect();
+            let id = warm.create(keys.iter().copied()).expect("create");
+            assert_eq!(cold.create(keys).expect("create"), id);
+            ids.push(id);
+        }
+        // ids[0] twice: duplicates share one retained handle per shard.
+        let batch = [ids[0], ids[1], ids[2], ids[3], ids[0]];
+        let same = |seed| {
+            let (a, _) = warm.query_batch_ids(&batch, seed, 2);
+            let (b, _) = cold.query_batch_ids(&batch, seed, 2);
+            assert_eq!(a, b, "seed {seed}");
+        };
+        let retained = |sys: &ShardedBstSystem| sys.shared.weight_cache.retained_count();
+        let retained_cells = || {
+            let spans = ring.recent();
+            let span = spans
+                .iter()
+                .rfind(|s| s.name == "bst.shard.batch")
+                .expect("batch span");
+            span.attrs
+                .iter()
+                .find(|(k, _)| *k == "retained_cells")
+                .map(|(_, v)| *v)
+                .expect("attr")
+        };
+
+        same(1);
+        assert_eq!(
+            retained(&warm),
+            4 * 4,
+            "one handle per (distinct id, shard)"
+        );
+        assert_eq!(retained(&cold), 0, "a bypassed cache retains nothing");
+        assert_eq!(retained_cells(), 0, "a cold batch has nothing retained");
+        for sys in [&warm, &cold] {
+            sys.insert_keys(ids[1], [3u64, 4_001, 8_000])
+                .expect("insert");
+            sys.insert_occupied(5).expect("occupy");
+            sys.drop_set(ids[2]).expect("drop");
+        }
+        assert_eq!(retained(&warm), 3 * 4, "drop_set releases its handles");
+        same(2);
+        assert!(retained_cells() > 0, "hits sample from retained handles");
+        let held = retained(&warm);
+        assert_eq!(held, 3 * 4);
+        let keys: Vec<u64> = (0..8_192u64).step_by(9).collect();
+        let (a, _) = warm.query_batch(&[warm.store(keys.iter().copied())], 3, 2);
+        let (b, _) = cold.query_batch(&[cold.store(keys)], 3, 2);
+        assert_eq!(a, b);
+        assert_eq!(
+            retained(&warm),
+            held,
+            "ad-hoc batches leave retention alone"
+        );
+        same(4);
+        assert_eq!(retained_cells(), 4, "every live slot samples warm");
     }
 
     #[test]

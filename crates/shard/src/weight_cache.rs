@@ -47,12 +47,31 @@
 //! with the cache enabled or bypassed (pinned in `tests/e2e_shard.rs`
 //! and the crate proptests); only `OpStats` differ, since cache hits
 //! perform no filter operations.
+//!
+//! ## Retained handles
+//!
+//! A weight hit spares phase 1, but the chosen cell still has to be
+//! *sampled*, and a cold per-shard [`Query`] re-descends the tree from
+//! scratch. So the stored side also keeps the per-shard handles of the
+//! **last id batch's** stored slots (`(raw id, shard) → Arc<Query>`):
+//! [`crate::system::ShardedBstSystem::query_batch_ids`] replaces them
+//! wholesale at the end of every call, and a later id batch naming the
+//! same sets samples its chosen cache-hit cells from those warm handles.
+//! Retention is bounded by one id batch (S × slots handles, as many as
+//! a cold batch holds during phase 1). Ad-hoc batches neither read nor
+//! replace them. A handle revalidates its own stamps on every operation
+//! (re-projecting on set churn, repairing its memo on occupancy churn),
+//! and a warm handle draws exactly what a cold one would, so retention
+//! needs no invalidation and cannot change a draw. `remove_stored`
+//! releases a dropped id's handles; a bypassed cache retains nothing.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use bst_bloom::filter::BloomFilter;
 use bst_core::error::BstError;
+use bst_core::query::Query;
 use bst_core::store::FilterId;
 use bst_core::system::BstSystem;
 use bst_obs::Counter;
@@ -144,12 +163,16 @@ struct StoredEntry {
     cells: Vec<Option<CachedWeight>>,
 }
 
-/// The stored side: live entries plus the tombstones of retired ids.
-/// Both live under one lock so a write-back racing `remove_stored`
-/// cannot resurrect a dropped set's entry.
+/// The stored side: live entries, the last id batch's retained
+/// handles, and the tombstones of retired ids. All live under one lock
+/// so a write-back racing `remove_stored` cannot resurrect a dropped
+/// set's entry or handles.
 #[derive(Default)]
 struct StoredSide {
     map: HashMap<u64, StoredEntry>,
+    /// Per-shard handles of the last id batch's stored slots, keyed by
+    /// `(raw id, shard)`; replaced wholesale by [`WeightCache::retain`].
+    retained: HashMap<(u64, usize), Arc<Query>>,
     /// Raw ids retired by `drop_set` — never probed again (sharded ids
     /// are not reused), so `fill` must not re-create their entries. One
     /// `u64` per set ever dropped, far below the S-cell entries it
@@ -208,16 +231,20 @@ impl WeightCache {
         self.enabled.load(Ordering::Acquire)
     }
 
-    /// Runtime toggle. Disabling also empties the cache and resets the
-    /// effectiveness counters (a bypassed cache must not serve
-    /// pre-toggle state when re-enabled later); retired-id tombstones
-    /// survive, so a dropped set stays dropped.
+    /// Runtime toggle. Disabling also empties the cache (retained
+    /// handles included) and resets the effectiveness counters (a
+    /// bypassed cache must not serve pre-toggle state when re-enabled
+    /// later); retired-id tombstones survive, so a dropped set stays
+    /// dropped.
     pub(crate) fn set_enabled(&self, enabled: bool) {
         self.enabled.store(enabled, Ordering::Release);
         if enabled {
             return;
         }
-        self.stored.write().map.clear();
+        let mut stored = self.stored.write();
+        stored.map.clear();
+        stored.retained.clear();
+        drop(stored);
         let mut adhoc = self.adhoc.write();
         adhoc.map.clear();
         adhoc.order.clear();
@@ -227,15 +254,46 @@ impl WeightCache {
         self.repairs.reset();
     }
 
-    /// Retires a dropped stored set: removes its entry and tombstones
-    /// the raw id, so an in-flight batch's write-back (which resolved
-    /// the registry before the drop) cannot resurrect an unreachable
-    /// entry. Garbage collection, not invalidation — a retired raw id
-    /// can never be probed again anyway.
+    /// Retires a dropped stored set: removes its entry and retained
+    /// handles and tombstones the raw id, so an in-flight batch's
+    /// write-back (which resolved the registry before the drop) cannot
+    /// resurrect an unreachable entry. Garbage collection, not
+    /// invalidation — a retired raw id can never be probed again anyway.
     pub(crate) fn remove_stored(&self, raw: u64) {
         let mut stored = self.stored.write();
         stored.map.remove(&raw);
+        for shard in 0..self.shards {
+            stored.retained.remove(&(raw, shard));
+        }
         stored.retired.insert(raw);
+    }
+
+    /// The retained handle of a stored id's shard cell, if the last id
+    /// batch held one.
+    pub(crate) fn retained(&self, raw: u64, shard: usize) -> Option<Arc<Query>> {
+        self.stored.read().retained.get(&(raw, shard)).cloned()
+    }
+
+    /// Replaces the retained handles with `handles` (one id batch's).
+    /// Like [`Self::fill`], re-checks the enabled flag and the
+    /// tombstones under the write lock, so a batch racing a bypass or a
+    /// `drop_set` retains nothing it must not. The superseded handles
+    /// are released after the lock is let go.
+    pub(crate) fn retain(&self, mut handles: HashMap<(u64, usize), Arc<Query>>) {
+        let mut stored = self.stored.write();
+        if !self.enabled() {
+            return;
+        }
+        handles.retain(|(raw, _), _| !stored.retired.contains(raw));
+        let released = std::mem::replace(&mut stored.retained, handles);
+        drop(stored);
+        drop(released);
+    }
+
+    /// Number of retained handles (tests pin the retention bounds).
+    #[cfg(test)]
+    pub(crate) fn retained_count(&self) -> usize {
+        self.stored.read().retained.len()
     }
 
     pub(crate) fn stats(&self) -> WeightCacheStats {
@@ -248,9 +306,9 @@ impl WeightCache {
 
     /// Clones of the effectiveness counter handles `(hits, misses,
     /// repairs)` — for registration on a metrics registry. Note a
-    /// [`Self::clear`] resets them through any registered clone (shared
-    /// cells), so scrape-time callbacks over [`Self::stats`] and
-    /// registered handles always agree.
+    /// bypass (`set_enabled(false)`) resets them through any registered
+    /// clone (shared cells), so scrape-time callbacks over
+    /// [`Self::stats`] and registered handles always agree.
     pub(crate) fn counters(&self) -> (Counter, Counter, Counter) {
         (self.hits.clone(), self.misses.clone(), self.repairs.clone())
     }

@@ -310,7 +310,9 @@ fn blocked_sharded_s16_sampling_conforms_to_classic() {
 /// Golden capture of the two-phase sharded batch path at S = 16, taken
 /// before the shard-merge rewrite: per-slot draws, typed-error slots and
 /// the merged `OpStats` of a cold batch, a warm repeat served from the
-/// weight cache, and the id-addressed entry point. The slots cover a
+/// weight cache, and the id-addressed entry point, once cold and once
+/// repeated (draws captured before id batches retained their per-shard
+/// handles; the repeat's `OpStats` pin the retention). The slots cover a
 /// full-span set, a set confined to the first two shards, an empty
 /// filter, a filter from another hash family and a set of unoccupied ids
 /// that only false positives can answer.
@@ -351,6 +353,8 @@ fn sharded_batch_outputs_bit_identical_to_capture() {
         .collect();
     sharded.drop_set(ids[2]).unwrap();
     let (by_id, id_stats) = sharded.query_batch_ids(&ids, 2025, 2);
+    // A repeated id batch samples from the handles the first one kept.
+    let (by_id_again, again_stats) = sharded.query_batch_ids(&ids, 2025, 2);
     let stats = |s: bloomsampletree::OpStats| {
         (
             s.intersections,
@@ -395,4 +399,12 @@ fn sharded_batch_outputs_bit_identical_to_capture() {
         "id-addressed batch draws changed"
     );
     assert_eq!(stats(id_stats), (198, 8190, 153, 0), "id batch OpStats");
+    // Draws captured before id batches retained their handles.
+    assert_eq!(by_id_again, by_id, "repeated id batch draws changed");
+    assert_eq!(
+        stats(again_stats),
+        (0, 0, 9, 0),
+        "repeated id batch OpStats (warm retained handles)"
+    );
+    assert!(again_stats.memberships < id_stats.memberships);
 }
